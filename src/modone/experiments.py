@@ -15,8 +15,8 @@ from .generators import (PerturbationSpec, ScaleFunction, arithmetic_sequence,
                          gen_base, gen_converse, gen_theorem1, perturb)
 from .seqcore import RealSequence
 from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
-                    additive_energy, k_level_correlation, pair_correlation,
-                    reduce_scaled)
+                    additive_energy, check_k_level_window, check_pair_window,
+                    k_level_correlation, pair_correlation, reduce_scaled)
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,15 @@ class TrialPlan:
             raise ValueError("alpha_mode must be ('fixed', a) or ('uniform', lo, hi)")
         object.__setattr__(self, "n_schedule", ns)
         object.__setattr__(self, "windows", tuple(self.windows))
+        # both checks only tighten as N shrinks, so the smallest N decides
+        for w in self.windows:
+            try:
+                if _is_pair_window(w):
+                    check_pair_window(w.intervals[0][1], ns[0])
+                else:
+                    check_k_level_window(w, ns[0])
+            except ValueError as exc:
+                raise ValueError(f"window {w.describe()} at N={ns[0]}: {exc}") from None
 
 
 def derive_trial(master_seed: int, t: int, alpha_mode=("fixed", 1.0)):
@@ -91,13 +100,16 @@ def derive_trial(master_seed: int, t: int, alpha_mode=("fixed", 1.0)):
     return zseed, alpha
 
 
-def _window_statistic(pts, window: CorrelationWindow) -> float:
+def _is_pair_window(window: CorrelationWindow) -> bool:
     # symmetric two-point windows take the strict-< pair statistic; everything
     # else uses the half-open k-level count
-    if window.k == 2:
-        lo, hi = window.intervals[0]
-        if lo == -hi and hi > 0:
-            return pair_correlation(pts, hi)
+    lo, hi = window.intervals[0]
+    return window.k == 2 and lo == -hi and hi > 0
+
+
+def _window_statistic(pts, window: CorrelationWindow) -> float:
+    if _is_pair_window(window):
+        return pair_correlation(pts, window.intervals[0][1])
     return k_level_correlation(pts, window)
 
 

@@ -78,7 +78,7 @@ class ResultRecord:
             obj["error_kind"] = self.error_kind
         if include_timing and self.wall_time_ms is not None:
             obj["wall_time_ms"] = self.wall_time_ms
-        return json.dumps(obj, sort_keys=False)
+        return json.dumps(obj, sort_keys=False, allow_nan=False)
 
     @classmethod
     def from_json_line(cls, line: str) -> "ResultRecord":

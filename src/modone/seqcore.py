@@ -13,6 +13,8 @@ def _as_float_array(values) -> np.ndarray:
         raise ValueError("sequence values must be one-dimensional")
     if arr.size < 1:
         raise ValueError("sequence must contain at least one value")
+    if not np.isfinite(arr).all():
+        raise ValueError("sequence values must be finite")
     return arr
 
 

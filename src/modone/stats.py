@@ -23,30 +23,32 @@ ENERGY_DEFAULT_CAP = 8192
 # pair correlation
 
 
-def pair_correlation(pts: TorusPoints, s: float) -> float:
-    """(1/N) * #{ordered pairs m != n with circle distance |x_m - x_n| < s/N}.
-
-    Sorted sliding window over the extended circle, O(N log N).
-    """
+def check_pair_window(s: float, n: int) -> None:
+    """Raise ValueError unless the pair statistic accepts s at N = n."""
     if s <= 0:
         raise ValueError("need s > 0")
-    n = pts.n
-    w = s / n
-    if w >= 0.5:
+    if s / n >= 0.5:
         raise ValueError("window s/N must be smaller than half the circle")
-    y = pts.points
-    y2 = np.concatenate([y, y + 1.0])
-    # for each i, forward neighbours j with y2[j] - y[i] < w; each unordered
-    # pair is seen exactly once because w < 1/2
-    hi = np.searchsorted(y2, y + w, side="left")
-    unordered = int(np.sum(np.maximum(hi - np.arange(1, n + 1), 0)))
-    return 2.0 * unordered / n
 
 
 def pair_correlation_count(pts: TorusPoints, s: float) -> int:
-    """Exact ordered-pair count (the statistic before division by N)."""
+    """#{ordered pairs m != n with circle distance |x_m - x_n| < s/N}.
+
+    Sorted sliding window over the extended circle, O(N log N).
+    """
     n = pts.n
-    return round(pair_correlation(pts, s) * n)
+    check_pair_window(s, n)
+    y = pts.points
+    y2 = np.concatenate([y, y + 1.0])
+    # for each i, forward neighbours j with y2[j] - y[i] < s/N; each unordered
+    # pair is seen exactly once because s/N < 1/2
+    hi = np.searchsorted(y2, y + s / n, side="left")
+    return 2 * int(np.sum(np.maximum(hi - np.arange(1, n + 1), 0)))
+
+
+def pair_correlation(pts: TorusPoints, s: float) -> float:
+    """(1/N) * #{ordered pairs m != n with circle distance |x_m - x_n| < s/N}."""
+    return pair_correlation_count(pts, s) / pts.n
 
 
 # ---------------------------------------------------------------------------
@@ -90,105 +92,92 @@ class CorrelationWindow:
         return f"k={self.k}:" + ",".join(f"{lo:g}:{hi:g}" for lo, hi in self.intervals)
 
 
-def _arc_counts(y2: np.ndarray, centers: np.ndarray,
-                lo: float, hi: float, n: int):
-    """Counts of points in the half-open difference window [lo/N, hi/N) pulled
-    back around each center: x in (v - hi/N, v - lo/N] on the circle."""
-    width = (hi - lo) / n
-    start = np.mod(centers - hi / n, 1.0)
+def check_k_level_window(window: CorrelationWindow, n: int) -> None:
+    """Raise ValueError unless k_level_correlation accepts the window at N = n."""
+    if n < window.k:
+        raise ValueError(f"need at least k={window.k} points")
+    for lo, hi in window.intervals:
+        if (hi - lo) / n >= 0.5:
+            raise ValueError("window width per coordinate must stay below half the circle")
+
+
+def _arc_counts(y2: np.ndarray, lo: float, hi: float, n: int):
+    """Per anchor y[i], the index range [lo_idx, hi_idx) into y2 = [y, y + 1]
+    of the points in the half-open difference window [lo/N, hi/N) pulled back
+    around it, x in (y[i] - hi/N, y[i] - lo/N] on the circle, and whether
+    that range holds the anchor itself (as i or i + N)."""
+    y = y2[:n]
+    start = np.mod(y - hi / n, 1.0)
     lo_idx = np.searchsorted(y2, start, side="right")
-    hi_idx = np.searchsorted(y2, start + width, side="right")
-    return lo_idx, hi_idx
+    hi_idx = np.searchsorted(y2, start + (hi - lo) / n, side="right")
+    i = np.arange(n)
+    hit = ((lo_idx <= i) & (i < hi_idx)) | ((lo_idx <= i + n) & (i + n < hi_idx))
+    return lo_idx, hi_idx, hit
 
 
-def _window_contains_zero(lo: float, hi: float) -> bool:
-    # frac(0) = 0 lies in [lo/N, hi/N) mod 1 iff lo <= 0 < hi (widths < N/2)
-    return lo <= 0.0 < hi
+def _set_partitions(items: tuple):
+    """Every set partition of `items`, as a list of blocks."""
+    if not items:
+        yield []
+        return
+    for part in _set_partitions(items[1:]):
+        yield [(items[0],)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [(items[0],) + block] + part[i + 1:]
+
+
+def _common_count(ranges: list, n: int) -> np.ndarray:
+    """Per anchor, the points other than the anchor that lie in every one of
+    the cyclic index sets {p mod N : lo_idx <= p < hi_idx}."""
+    (lo0, hi0, hit), rest = ranges[0], ranges[1:]
+    pieces = [(lo0, hi0)]
+    for lo, hi, slot_hit in rest:
+        # a range holds each index at most once, so only the lift starting in
+        # [lo0, lo0 + N) and the one before it can meet [lo0, hi0)
+        start = lo0 + np.mod(lo - lo0, n)
+        end = start + (hi - lo)
+        pieces = [(np.maximum(a, s), np.minimum(b, e)) for a, b in pieces
+                  for s, e in ((start, end), (start - n, end - n))]
+        hit = hit & slot_hit
+    return sum(np.maximum(b - a, 0) for a, b in pieces) - hit
 
 
 def k_level_correlation(pts: TorusPoints, window: CorrelationWindow) -> float:
     """(1/N) * #{k-tuples of distinct indices whose differences from the first
     coordinate fall in the prescribed windows modulo 1}.
 
-    k = 3 runs fully vectorized (per-anchor counts with the diagonal pairs
-    removed); larger k backtracks over the per-coordinate candidate sets.
+    Per anchor, let c_B count the points other than the anchor that lie in
+    the windows of every slot of a block B of the k-1 slots. Moebius
+    inversion over the set partitions pi of the slots counts the assignments
+    of distinct points to the slots as sum_pi mu(pi) prod_{B in pi} c_B,
+    with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!; that is c_1 for k = 2 and
+    c_1 c_2 - c_12 for k = 3.
+
+    Cost: one searchsorted pair over the N anchors per distinct interval,
+    plus Bell(k-1) vectorized products (1, 2, 5, 15, 52 for k = 2..6);
+    c_B is computed once per distinct set of intervals in B.
     """
     n = pts.n
-    k = window.k
-    if n < k:
-        raise ValueError(f"need at least k={k} points")
-    for lo, hi in window.intervals:
-        if (hi - lo) / n >= 0.5:
-            raise ValueError("window width per coordinate must stay below half the circle")
-    y = pts.points
-    y2 = np.concatenate([y, y + 1.0])
+    check_k_level_window(window, n)
+    y2 = np.concatenate([pts.points, pts.points + 1.0])
+    ranges = {iv: _arc_counts(y2, *iv, n) for iv in set(window.intervals)}
+    del y2
+    # the per-anchor products stay exact in int64 below this bound
+    widest = max(int(np.max(hi - lo)) for lo, hi, _ in ranges.values())
+    dtype = np.int64 if n * widest ** (window.k - 1) < 2**63 else object
+    counts = {}
 
-    if k == 2:
-        lo, hi = window.intervals[0]
-        lo_idx, hi_idx = _arc_counts(y2, y, lo, hi, n)
-        counts = hi_idx - lo_idx
-        if _window_contains_zero(lo, hi):
-            counts = counts - 1
-        return float(np.sum(counts)) / n
-
-    if k == 3:
-        (lo1, hi1), (lo2, hi2) = window.intervals
-        lo_a, hi_a = _arc_counts(y2, y, lo1, hi1, n)
-        lo_b, hi_b = _arc_counts(y2, y, lo2, hi2, n)
-        c1 = (hi_a - lo_a) - (1 if _window_contains_zero(lo1, hi1) else 0)
-        c2 = (hi_b - lo_b) - (1 if _window_contains_zero(lo2, hi2) else 0)
-        # overlap of the two difference windows, for the diagonal a_2 = a_3
-        olo, ohi = max(lo1, lo2), min(hi1, hi2)
-        if olo < ohi:
-            lo_c, hi_c = _arc_counts(y2, y, olo, ohi, n)
-            c12 = (hi_c - lo_c) - (1 if _window_contains_zero(olo, ohi) else 0)
-        else:
-            c12 = np.zeros(n, dtype=np.int64)
-        total = int(np.sum(c1.astype(np.int64) * c2.astype(np.int64) - c12))
-        return total / n
-
-    # generic k: candidate index lists per coordinate, then a distinctness
-    # backtrack; candidate sets are O(1) for Poissonian data
-    slot_ranges = []
-    for lo, hi in window.intervals:
-        lo_idx, hi_idx = _arc_counts(y2, y, lo, hi, n)
-        slot_ranges.append((lo_idx, hi_idx, _window_contains_zero(lo, hi)))
+    def count(block):
+        key = tuple(sorted({window.intervals[j] for j in block}))
+        if key not in counts:
+            counts[key] = _common_count([ranges[iv] for iv in key], n).astype(dtype, copy=False)
+        return counts[key]
 
     total = 0
-    for a1 in range(n):
-        cand = []
-        ok = True
-        for lo_idx, hi_idx, selfhit in slot_ranges:
-            idx = [int(j % n) for j in range(lo_idx[a1], hi_idx[a1])]
-            if selfhit:
-                idx = [j for j in idx if j != a1]
-            if not idx:
-                ok = False
-                break
-            cand.append(idx)
-        if not ok:
-            continue
-        total += _count_distinct_assignments(cand, a1)
+    for part in _set_partitions(tuple(range(window.k - 1))):
+        mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
+        total += mu * int(np.sum(math.prod(count(b) for b in part)))
     return total / n
-
-
-def _count_distinct_assignments(cand: list, anchor: int) -> int:
-    used = {anchor}
-    km1 = len(cand)
-
-    def rec(slot: int) -> int:
-        if slot == km1:
-            return 1
-        acc = 0
-        for j in cand[slot]:
-            if j in used:
-                continue
-            used.add(j)
-            acc += rec(slot + 1)
-            used.remove(j)
-        return acc
-
-    return rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,35 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     assert code == 1
 
 
+def test_stat_rejects_non_finite_points(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("# modone-points v1 n=3\n0.1\nnan\n0.3\n")
+    code, out, err = run(capsys, "stat", "--in", str(pts), "--ppc", "--disc")
+    assert code == 1 and out == ""
+    assert err.startswith("modone: error:") and err.count("\n") == 1
+
+
+def test_result_record_refuses_nan():
+    rec = ResultRecord(command="stat", statistic="pair_correlation",
+                       value=float("nan"), n=3)
+    with pytest.raises(ValueError):
+        rec.to_json_line()
+
+
+@pytest.mark.parametrize("n_schedule, intervals", [
+    ([2, 100], [[0, 1], [0, 1]]),     # N < k
+    ([4, 100], [[-1, 1], [-1, 1]]),   # window width / N = 1/2
+])
+def test_exp_rejects_windows_the_plan_cannot_score(tmp_path, capsys, n_schedule, intervals):
+    config = tmp_path / "plan.json"
+    config.write_text(json.dumps({
+        "generator": {"kind": "theorem1", "c": 1.0}, "n_schedule": n_schedule,
+        "windows": [{"k": 3, "intervals": intervals}], "trials": 1, "master_seed": 1}))
+    code, out, err = run(capsys, "exp", "--config", str(config))
+    assert code == 1 and out == ""
+    assert err.startswith("modone: error: window k=3") and err.count("\n") == 1
+
+
 def test_stat_klevel_requires_windows(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     write_points(pts, [0.1, 0.2, 0.3])

@@ -39,6 +39,16 @@ def test_plan_validation():
         small_plan(alpha_mode=("bogus", 1.0))
 
 
+@pytest.mark.parametrize("n_schedule, window, message", [
+    ((2, 100), CorrelationWindow(k=3, intervals=((0.0, 1.0), (0.0, 1.0))), "at least k=3"),
+    ((4, 100), CorrelationWindow(k=3, intervals=((0.0, 1.0), (-1.0, 1.0))), "half the circle"),
+    ((3, 100), CorrelationWindow.pair(1.5), "half the circle"),
+])
+def test_plan_rejects_windows_too_wide_for_smallest_n(n_schedule, window, message):
+    with pytest.raises(ValueError, match=message):
+        small_plan(n_schedule=n_schedule, windows=(window,))
+
+
 def test_single_trial_identity_with_direct_statistic():
     plan = small_plan()
     summary = run_trials(plan)

@@ -99,6 +99,14 @@ def test_torus_points_validation():
         RealSequence([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        RealSequence([0.1, bad, 0.3])
+    with pytest.raises(ValueError, match="finite"):
+        TorusPoints([0.1, 0.3, bad])
+
+
 def test_sequence_prefix():
     seq = RealSequence([1, 2, 3, 4])
     assert_array_equal(seq.prefix(2).values, [1, 2])

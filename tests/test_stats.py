@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,12 +120,59 @@ def test_k3_matches_brute_force(n, key):
 
 @given(st.integers(min_value=5, max_value=18), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=20, deadline=None)
-def test_k4_backtracking_matches_brute_force(n, key):
+def test_k4_moebius_matches_brute_force(n, key):
     rng = np.random.Generator(np.random.Philox(key=key))
     pts = sorted_uniform(rng, n)
     w = CorrelationWindow(k=4, intervals=((-1.0, 1.0), (-0.5, 1.5), (0.0, 1.9)))
     fast = k_level_correlation(pts, w) * n
     assert round(fast) == brute_k_level_count(pts.points, w)
+
+
+@st.composite
+def k_level_cases(draw):
+    """Windows with lo = 0, offsets by +-N, and identical, overlapping or
+    disjoint slots; narrow enough that the brute oracle stays quick."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=k, max_value=40))
+    key = draw(st.integers(min_value=0, max_value=2**32))
+    max_width = min(0.49 * n, 6.0 if k <= 3 else 2.5)
+    intervals = []
+    for _ in range(k - 1):
+        shift = draw(st.sampled_from((-n, 0, n)))
+        if intervals and draw(st.booleans()):
+            lo, hi = draw(st.sampled_from(intervals))
+        else:
+            lo = draw(st.one_of(st.just(0.0), st.floats(min_value=-4.0, max_value=4.0)))
+            hi = lo + draw(st.floats(min_value=0.05, max_value=max_width))
+        intervals.append((lo + shift, hi + shift))
+    return n, key, CorrelationWindow(k=k, intervals=tuple(intervals))
+
+
+@given(k_level_cases())
+@settings(max_examples=150, deadline=None)
+def test_k_level_matches_brute_force_any_k(case):
+    n, key, w = case
+    pts = sorted_uniform(np.random.Generator(np.random.Philox(key=key)), n)
+    assert round(k_level_correlation(pts, w) * n) == brute_k_level_count(pts.points, w)
+
+
+@pytest.mark.parametrize("intervals", [
+    ((0.0, 3.0), (0.0, 3.0)),       # the anchor near 0 rounds out of its own arc
+    ((59.0, 61.0),),                # a window offset by N still holds the anchor
+    ((0.0, 3.0), (60.0, 63.0)),     # windows that coincide modulo N
+])
+def test_k_level_anchor_removed_by_index(intervals):
+    pts = TorusPoints(np.sort(np.random.default_rng(3).random(60)))
+    w = CorrelationWindow(k=len(intervals) + 1, intervals=intervals)
+    assert round(k_level_correlation(pts, w) * 60) == brute_k_level_count(pts.points, w)
+
+
+def test_k_level_counts_past_int64_exactly():
+    # every point coincides, so every k-tuple of distinct indices counts; the
+    # per-anchor products (N-1)^4 summed over N anchors exceed 2^63
+    n = 20_000
+    w = CorrelationWindow(k=5, intervals=((-1.0, 1.0),) * 4)
+    assert k_level_correlation(TorusPoints(np.zeros(n)), w) == math.perm(n, 5) / n
 
 
 def test_k3_overlapping_windows_diagonal_removal(rng):
