@@ -20,6 +20,10 @@ from .stats import (CorrelationWindow, additive_energy, discrepancy,
                     pair_correlation)
 
 
+# CLI --kind names of the base families -> GeneratorConfig kinds
+_LIBRARY_KIND = {"arith": "arithmetic", "power": "power", "vdc": "van_der_corput"}
+
+
 class _CliError(Exception):
     pass
 
@@ -97,7 +101,6 @@ def _emit(records, args, command: str) -> None:
 
 
 def _cmd_gen(args) -> list:
-    kind_map = {"arith": "arithmetic", "power": "power", "vdc": "van_der_corput"}
     if args.kind in ("theorem1", "converse"):
         if args.seed is None:
             raise _CliError(f"--kind {args.kind} requires --seed")
@@ -110,7 +113,7 @@ def _cmd_gen(args) -> list:
             raise _CliError("--kind arith requires --alpha")
         if args.kind == "power" and args.theta is None:
             raise _CliError("--kind power requires --theta")
-        config = GeneratorConfig(kind=kind_map[args.kind], alpha=args.alpha,
+        config = GeneratorConfig(kind=_LIBRARY_KIND[args.kind], alpha=args.alpha,
                                  theta=args.theta, base=args.base)
         seq = config.build(args.n, args.seed or 0)
     mio.write_points(args.out, seq.values)
@@ -211,8 +214,7 @@ def _cmd_check(args) -> list:
             scale = ScaleFunction.power_log(args.c if args.c is not None else 0.5)
         else:
             scale = ScaleFunction.constant(args.g0 if args.g0 is not None else 0.1)
-        kind_map = {"arith": "arithmetic", "power": "power", "vdc": "van_der_corput"}
-        config = GeneratorConfig(kind=kind_map[args.kind], alpha=args.alpha,
+        config = GeneratorConfig(kind=_LIBRARY_KIND[args.kind], alpha=args.alpha,
                                  theta=args.theta, base=args.base)
         t0 = time.perf_counter()
         seq = config.build(args.n, 0)

@@ -4,6 +4,8 @@ certificate, and the fourth-power subsequence concentration check."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -63,16 +65,27 @@ class TrialPlan:
     alpha_mode: tuple = ("fixed", 1.0)   # or ("uniform", lo, hi)
 
     def __post_init__(self):
+        if not all(_is_int(v) for v in self.n_schedule):
+            raise ValueError(f"n_schedule must list integers, got {list(self.n_schedule)}")
         ns = tuple(int(v) for v in self.n_schedule)
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_schedule must be strictly increasing")
         if not ns:
             raise ValueError("n_schedule must be nonempty")
+        for name in ("trials", "master_seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
-        mode = self.alpha_mode[0]
-        if mode not in ("fixed", "uniform"):
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
+        mode, *params = self.alpha_mode
+        if (mode, len(params)) not in (("fixed", 1), ("uniform", 2)):
             raise ValueError("alpha_mode must be ('fixed', a) or ('uniform', lo, hi)")
+        if not all(math.isfinite(float(p)) for p in params):
+            raise ValueError(f"alpha_mode values must be finite, got {params}")
+        if mode == "uniform" and not params[0] < params[1]:
+            raise ValueError(f"alpha_mode uniform needs lo < hi, got {params}")
         object.__setattr__(self, "n_schedule", ns)
         object.__setattr__(self, "windows", tuple(self.windows))
         # both checks only tighten as N shrinks, so the smallest N decides
@@ -84,6 +97,11 @@ class TrialPlan:
                     check_k_level_window(w, ns[0])
             except ValueError as exc:
                 raise ValueError(f"window {w.describe()} at N={ns[0]}: {exc}") from None
+
+
+def _is_int(v) -> bool:
+    # JSON plans give floats and strings as they are; bool is an int subclass
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def derive_trial(master_seed: int, t: int, alpha_mode=("fixed", 1.0)):

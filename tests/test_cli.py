@@ -38,6 +38,47 @@ def test_points_header_validation(tmp_path):
         read_points(p)
 
 
+def test_points_v1_golden_bytes(tmp_path):
+    vals = [0.1, -0.0, 5e-324, 1e-300, 1e16, 1e22, 123456789.5, -2.5, 2.0**53, 1 / 3]
+    path = tmp_path / "pts.csv"
+    write_points(path, vals)
+    assert path.read_bytes() == (
+        b"# modone-points v1 n=10\n"
+        b"0.10000000000000001\n-0\n4.9406564584124654e-324\n1e-300\n"
+        b"10000000000000000\n1e+22\n123456789.5\n-2.5\n9007199254740992\n"
+        b"0.33333333333333331\n")
+    back = read_points(path)
+    assert_array_equal(back, vals)
+    assert np.signbit(back[1]) and back[2] == 5e-324
+
+
+def test_points_crlf_and_blank_lines_accepted(tmp_path):
+    p = tmp_path / "pts.csv"
+    p.write_bytes(b"# modone-points v1 n=3\r\n0.25\r\n\r\n -0.5 \r\n\t\r\n1e3\r\n\n")
+    assert_array_equal(read_points(p), [0.25, -0.5, 1e3])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", [
+    "# modone-points v1 n=0\n",              # empty sequence
+    "# modone-points v1 n=0\n\n\n",
+    "# modone-points v1 n=2\n",              # body missing
+    "# modone-points v1 n=2\n1.5 2.5\n",     # two values on one line
+    "# modone-points v1 n=4\n1.5 2.5\n3 4\n",
+    "# modone-points v1 n=1\nabc\n",
+    "# modone-points v1 n=1\n#2.5\n",
+    "# modone-points v1 n=2\n0.5\n0.5x\n",
+])
+def test_stat_rejects_bad_points_files(tmp_path, capsys, body):
+    pts = tmp_path / "bad_points.csv"
+    pts.write_text(body)
+    code, out, err = run(capsys, "stat", "--in", str(pts), "--ppc")
+    assert code == 1 and out == ""
+    assert err.startswith("modone: error:") and err.count("\n") == 1
+    if "n=0" not in body:
+        assert "bad_points.csv" in err
+
+
 def test_result_record_round_trip():
     rec = ResultRecord(command="stat", statistic="pair_correlation",
                        value=1.995, n=100, seed=7, window="s=1",
@@ -231,6 +272,31 @@ def test_config_requires_master_seed(tmp_path, capsys):
         "n_schedule": [100], "windows": [{"pair_s": 1.0}], "trials": 1}))
     code, _, err = run(capsys, "exp", "--config", str(config))
     assert code == 1 and "master_seed" in err
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    ("master_seed", -1, "master_seed"),
+    ("master_seed", 1.5, "master_seed"),
+    ("master_seed", "7", "master_seed"),
+    ("trials", 2.7, "trials"),
+    ("trials", "3", "trials"),
+    ("trials", True, "trials"),
+    ("n_schedule", [100.5], "n_schedule"),
+    ("alpha_mode", {"uniform": [2.0, 1.0]}, "lo < hi"),
+    ("alpha_mode", {"uniform": [1.0, 1.0]}, "lo < hi"),
+    ("alpha_mode", {"uniform": [1.0, float("inf")]}, "finite"),
+    ("alpha_mode", {"fixed": float("nan")}, "finite"),
+])
+def test_exp_rejects_bad_plans_before_any_trial(tmp_path, capsys, field, value, needle):
+    plan = {"generator": {"kind": "theorem1", "c": 1.0}, "n_schedule": [100],
+            "windows": [{"pair_s": 1.0}], "trials": 2, "master_seed": 3}
+    plan[field] = value
+    config = tmp_path / "plan.json"
+    config.write_text(json.dumps(plan))
+    code, out, err = run(capsys, "exp", "--config", str(config))
+    assert code == 1 and out == ""
+    assert err.startswith("modone: error:") and err.count("\n") == 1
+    assert needle in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

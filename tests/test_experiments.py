@@ -37,6 +37,18 @@ def test_plan_validation():
         small_plan(trials=0)
     with pytest.raises(ValueError):
         small_plan(alpha_mode=("bogus", 1.0))
+    for bad in (dict(master_seed=-1), dict(master_seed=2.0), dict(trials=2.7),
+                dict(trials=True), dict(n_schedule=(200.5,)),
+                dict(alpha_mode=("uniform", 2.0, 1.0)),
+                dict(alpha_mode=("uniform", 1.0)), dict(alpha_mode=("fixed", float("nan"))),
+                dict(alpha_mode=("fixed", float("-inf")))):
+        with pytest.raises(ValueError):
+            small_plan(**bad)
+
+
+def test_plan_accepts_numpy_integers():
+    plan = small_plan(trials=np.int64(2), master_seed=np.uint32(5))
+    assert run_trials(plan).means.shape == (1, 1)
 
 
 @pytest.mark.parametrize("n_schedule, window, message", [
