@@ -21,6 +21,11 @@ from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
                     k_level_correlation, pair_correlation, reduce_scaled)
 
 
+# the parameter each GeneratorConfig kind cannot be built without
+_KIND_PARAMETER = {"arithmetic": "alpha", "power": "theta", "van_der_corput": "base",
+                   "theorem1": "c", "converse": "c"}
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Declarative description of a sequence family for trial plans.
@@ -82,10 +87,24 @@ class TrialPlan:
         mode, *params = self.alpha_mode
         if (mode, len(params)) not in (("fixed", 1), ("uniform", 2)):
             raise ValueError("alpha_mode must be ('fixed', a) or ('uniform', lo, hi)")
-        if not all(math.isfinite(float(p)) for p in params):
+        if not all(_is_real(p) for p in params):
+            raise ValueError(f"alpha_mode values must be numbers, got {params}")
+        if not all(math.isfinite(p) for p in params):
             raise ValueError(f"alpha_mode values must be finite, got {params}")
         if mode == "uniform" and not params[0] < params[1]:
             raise ValueError(f"alpha_mode uniform needs lo < hi, got {params}")
+        kind = self.generator.kind
+        if kind not in _KIND_PARAMETER:
+            raise ValueError(f"unknown generator kind {kind!r}; expected one of "
+                             + ", ".join(_KIND_PARAMETER))
+        name = _KIND_PARAMETER[kind]
+        value = getattr(self.generator, name)
+        if name == "base":
+            ok, what = _is_int(value), "an integer"
+        else:
+            ok, what = _is_real(value) and math.isfinite(value), "a finite number"
+        if not ok:
+            raise ValueError(f"generator {kind} needs {name} as {what}, got {value!r}")
         object.__setattr__(self, "n_schedule", ns)
         object.__setattr__(self, "windows", tuple(self.windows))
         # both checks only tighten as N shrinks, so the smallest N decides
@@ -102,6 +121,10 @@ class TrialPlan:
 def _is_int(v) -> bool:
     # JSON plans give floats and strings as they are; bool is an int subclass
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def derive_trial(master_seed: int, t: int, alpha_mode=("fixed", 1.0)):

@@ -152,22 +152,30 @@ def power_sequence(theta: float, n: int) -> RealSequence:
 
 
 def van_der_corput(base: int, n: int) -> RealSequence:
-    """Radical-inverse sequence in the given base, already inside [0, 1)."""
+    """Radical-inverse sequence in the given base, already inside [0, 1).
+
+    The digits of each index are reversed into an integer numerator over
+    base^digits, which is divided once, so every value is correctly rounded
+    while base^digits stays within 2^53.
+    """
     if base < 2:
         raise ValueError("need base >= 2")
     if n < 1:
         raise ValueError("need n >= 1")
-    out = np.empty(n, dtype=np.float64)
-    for i in range(1, n + 1):
-        x = 0.0
-        denom = 1.0
-        k = i
-        while k > 0:
-            denom *= base
-            x += (k % base) / denom
-            k //= base
-        out[i - 1] = x
-    return RealSequence(out)
+    digits, den = 0, 1
+    while den <= n:
+        digits, den = digits + 1, den * base
+    if den >= 2**63:
+        raise ValueError(f"base^digits = {base}^{digits} does not fit in 64 bits")
+    k = np.arange(1, n + 1, dtype=np.int64)
+    num = np.zeros(n, dtype=np.int64)
+    digit = np.empty(n, dtype=np.int64)
+    place = den
+    for _ in range(digits):
+        place //= base
+        np.divmod(k, base, out=(k, digit))
+        num += digit * place
+    return RealSequence(num / den)
 
 
 def gen_base(kind: str, n: int, *, alpha: float = None, theta: float = None,

@@ -156,13 +156,13 @@ def plan_from_json(text: str) -> TrialPlan:
         scale=_scale_from_dict(gen["scale"]) if "scale" in gen else None,
     )
     am = obj.get("alpha_mode", {"fixed": 1.0})
-    if "fixed" in am:
-        alpha_mode = ("fixed", float(am["fixed"]))
-    elif "uniform" in am:
-        lo, hi = am["uniform"]
-        alpha_mode = ("uniform", float(lo), float(hi))
+    # values pass through unconverted; TrialPlan rejects what is not a number
+    if isinstance(am, dict) and "fixed" in am:
+        alpha_mode = ("fixed", am["fixed"])
+    elif isinstance(am, dict) and isinstance(am.get("uniform"), list):
+        alpha_mode = ("uniform", *am["uniform"])
     else:
-        raise ValueError("alpha_mode must carry 'fixed' or 'uniform'")
+        raise ValueError("alpha_mode must carry 'fixed' or a 'uniform' [lo, hi] list")
     return TrialPlan(
         generator=config,
         n_schedule=tuple(obj["n_schedule"]),

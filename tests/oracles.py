@@ -87,22 +87,50 @@ def brute_star_discrepancy(points):
 def riemann_density_l2(base, scale, cells):
     """Midpoint quadrature of the squared density on a uniform grid, summing
     the box indicators directly from the definition."""
-    n = base.n
-    centers = np.mod(np.asarray(base.values, dtype=np.float64), 1.0)
-    widths = np.asarray(scale.eval(np.arange(1, n + 1)), dtype=np.float64)
     xs = (np.arange(cells) + 0.5) / cells
-    rho = np.zeros(cells)
-    for c, w in zip(centers, widths):
-        d = np.abs(xs - c)
-        d = np.minimum(d, 1.0 - d)
-        rho[d <= w] += 1.0 / (2.0 * w * n)
-    return float(np.mean(rho**2))
+    return float(np.mean(brute_density(base, scale, xs) ** 2))
+
+
+def _arcs(base, scale):
+    centers = np.mod(np.asarray(base.values, dtype=np.float64), 1.0)
+    widths = np.asarray(scale.eval(np.arange(1, base.n + 1)), dtype=np.float64)
+    return centers, widths
+
+
+def _circle_distance(xs, c):
+    d = np.mod(xs - c, 1.0)
+    return np.minimum(d, 1.0 - d)
+
+
+def brute_density(base, scale, xs):
+    """rho at each x: the heights 1/(2 g(n) N) of the closed arcs within
+    circle distance g(n) of x, summed arc by arc."""
+    centers, widths = _arcs(base, scale)
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    rho = np.zeros(xs.size)
+    for c, g in zip(centers, widths):
+        rho[_circle_distance(xs, c) <= g] += 1.0 / (2.0 * g * base.n)
+    return rho
+
+
+def brute_window_count(base, scale, s, xs):
+    """h_s at each x: the overlap of each arc with the window arc of
+    half-width s/N around x, on the near side and around the far side of the
+    circle, over 2 g(n)."""
+    centers, widths = _arcs(base, scale)
+    w = s / base.n
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    h = np.zeros(xs.size)
+    for c, g in zip(centers, widths):
+        d = _circle_distance(xs, c)
+        near = np.maximum(0.0, np.minimum(min(2.0 * g, 2.0 * w), g + w - d))
+        far = np.maximum(0.0, g + w - (1.0 - d))
+        h += (near + far) / (2.0 * g)
+    return h
 
 
 def riemann_h_rho(base, scale, s, cells):
     """Midpoint quadrature of h_s * rho on a uniform grid."""
-    from modone.density import expected_window_count, perturbation_density
-
     xs = (np.arange(cells) + 0.5) / cells
-    return float(np.mean(expected_window_count(base, scale, s, xs)
-                         * perturbation_density(base, scale, xs)))
+    return float(np.mean(brute_window_count(base, scale, s, xs)
+                         * brute_density(base, scale, xs)))

@@ -286,6 +286,13 @@ def test_config_requires_master_seed(tmp_path, capsys):
     ("alpha_mode", {"uniform": [1.0, 1.0]}, "lo < hi"),
     ("alpha_mode", {"uniform": [1.0, float("inf")]}, "finite"),
     ("alpha_mode", {"fixed": float("nan")}, "finite"),
+    ("alpha_mode", {"fixed": None}, "numbers"),
+    ("alpha_mode", {"uniform": [1.0, "2"]}, "numbers"),
+    ("alpha_mode", {"uniform": None}, "alpha_mode"),
+    ("generator", {"kind": "theorem1"}, "needs c as a finite number"),
+    ("generator", {"kind": "nosuch"}, "unknown generator kind 'nosuch'"),
+    ("generator", {"kind": "arithmetic"}, "needs alpha as a finite number"),
+    ("generator", {"kind": "van_der_corput", "base": 2.5}, "needs base as an integer"),
 ])
 def test_exp_rejects_bad_plans_before_any_trial(tmp_path, capsys, field, value, needle):
     plan = {"generator": {"kind": "theorem1", "c": 1.0}, "n_schedule": [100],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,8 @@ from modone import (PerturbationSpec, RealSequence, ScaleFunction, density_l2,
                     frac_reduce, pair_correlation, perturb,
                     perturbation_density, sweep_density_integrals)
 
-from oracles import riemann_density_l2, riemann_h_rho
+from oracles import (brute_density, brute_window_count, riemann_density_l2,
+                     riemann_h_rho)
 
 
 def tiling_base():
@@ -40,6 +42,64 @@ def test_density_wraps_around_zero():
     base = RealSequence([0.01])
     g = ScaleFunction.constant(0.05)
     assert perturbation_density(base, g, 0.98) == pytest.approx(10.0)
+
+
+def test_density_arcs_are_closed_at_dyadic_edges():
+    base = RealSequence([0.5, 3.0625])   # the second arc wraps through 0
+    g = ScaleFunction.constant(0.125)
+    xs = np.array([0.375, 0.625, 0.9375, 0.1875, 1.375, -0.0625, 0.3749, 0.6251, 0.1876])
+    assert_array_equal(perturbation_density(base, g, xs), [2, 2, 2, 2, 2, 2, 0, 0, 0])
+    assert perturbation_density(base, g, 0.375) == 2.0
+
+
+# dyadic centers, widths and queries keep every arc edge exact, so the
+# library and the oracles agree on closed membership at the edges
+UNIT = 2.0**-10
+
+
+@st.composite
+def arc_configs(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    centers = draw(st.lists(st.integers(-4096, 8192), min_size=n, max_size=n))
+    widest = draw(st.sampled_from([8, 64, 460]))    # 460 * UNIT ~ 0.449
+    widths = draw(st.lists(st.integers(1, widest), min_size=n, max_size=n))
+    window = draw(st.integers(1, 511)) * UNIT      # s/N, below 1/2
+    picks = draw(st.lists(st.integers(-4096, 8192), min_size=1, max_size=30))
+    c, g = np.array(centers) * UNIT, np.array(widths) * UNIT
+    # every arc edge, plus dyadic points anywhere on three turns of the circle
+    xs = np.concatenate([c - g, c + g, np.array(picks) * UNIT / 4])
+    return RealSequence(c), ScaleFunction.table(g), window * n, xs
+
+
+def check_against_oracles(base, g, s, xs):
+    rho = perturbation_density(base, g, xs)
+    want = brute_density(base, g, xs)
+    assert_allclose(rho, want, rtol=1e-9, atol=0)
+    assert_array_equal(rho == 0.0, want == 0.0)     # exactly 0 where no arc covers
+    h = expected_window_count(base, g, s, xs)
+    want = brute_window_count(base, g, s, xs)
+    assert np.all(h >= 0.0)
+    # h is a difference of integrals of magnitude <= N; rounding is absolute
+    assert_allclose(h, want, rtol=1e-9, atol=1e-12)
+    assert_array_equal(h == 0.0, want == 0.0)     # exactly 0 where no arc meets the window
+    assert perturbation_density(base, g, xs[-1]) == rho[-1]
+    assert expected_window_count(base, g, s, xs[-1]) == h[-1]
+
+
+@given(arc_configs())
+@settings(max_examples=150, deadline=None)
+def test_density_and_window_count_match_oracles(config):
+    check_against_oracles(*config)
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32),
+       st.floats(min_value=0.001, max_value=0.45), st.floats(min_value=0.01, max_value=0.99))
+@settings(max_examples=60, deadline=None)
+def test_density_and_window_count_match_oracles_off_lattice(n, key, widest, window):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    base = RealSequence(rng.random(n) * 5 - 1)
+    g = ScaleFunction.table(widest * (0.01 + 0.99 * rng.random(n)))
+    check_against_oracles(base, g, 0.49 * window * n, rng.random(200) * 3 - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_thread_count_does_not_change_results():
 
 
 def test_trial_errors_carry_the_trial_index():
-    plan = small_plan(generator=GeneratorConfig(kind="converse"), trials=2)
+    plan = small_plan(generator=GeneratorConfig(kind="converse", c=0.9), trials=2)
     with pytest.raises(RuntimeError, match="trial 0"):
         run_trials(plan)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ def test_van_der_corput_hand_values():
     assert_array_equal(van_der_corput(2, 4).values, [0.5, 0.25, 0.75, 0.125])
     v3 = van_der_corput(3, 3).values
     assert_allclose(v3, [1 / 3, 2 / 3, 1 / 9])
+
+
+def _radical_inverse(i: int, base: int) -> Fraction:
+    x, place = Fraction(0), Fraction(1)
+    while i:
+        i, digit = divmod(i, base)
+        place /= base
+        x += digit * place
+    return x
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7])
+def test_van_der_corput_is_correctly_rounded(base):
+    want = [float(_radical_inverse(i, base)) for i in range(1, 501)]
+    assert van_der_corput(base, 500).values.tolist() == want
 
 
 def test_gen_base_validation():

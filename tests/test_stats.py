@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from modone import (CorrelationWindow, RealSequence, TorusPoints,
                     additive_energy, discrepancy, discrepancy_profile,
@@ -243,6 +243,21 @@ def test_discrepancy_profile_geometric_agrees_at_shared_points():
         assert geom.star_values[j] == pytest.approx(full.star_values[i], abs=1e-14)
 
 
+@pytest.mark.parametrize("values", [
+    arithmetic_sequence(GOLDEN_ALPHA, 200).values,
+    np.random.Generator(np.random.Philox(key=11)).random(150) * 7,
+    np.repeat(np.arange(20) * 0.05, 6),     # ties, and prefixes out of order
+    np.array([0.5]),
+])
+def test_full_profile_equals_discrepancy_of_each_prefix(values):
+    prof = discrepancy_profile(RealSequence(values), grid="full")
+    prefixes = [discrepancy(frac_reduce(RealSequence(values[:m])))
+                for m in range(1, values.size + 1)]
+    assert_array_equal(prof.n_grid, np.arange(1, values.size + 1))
+    assert_array_equal(prof.d_values, [d for d, _ in prefixes])
+    assert_array_equal(prof.star_values, [s for _, s in prefixes])
+
+
 def test_discrepancy_profile_validation():
     with pytest.raises(ValueError):
         discrepancy_profile(arithmetic_sequence(1.0, 5), grid="bogus")
@@ -274,6 +289,17 @@ def test_energy_matches_brute_force(n, key, gamma):
     rng = np.random.Generator(np.random.Philox(key=key))
     seq = RealSequence(np.cumsum(1.0 + rng.random(n)))
     assert additive_energy(seq, gamma).count == brute_energy_count(seq.values, gamma)
+
+
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=25),
+       st.sampled_from([1.0, 0.25, 0.125]), st.integers(min_value=1, max_value=6),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_energy_tie_heavy_matches_brute_force(ints, step, m, on_lattice):
+    # repeated lattice values make many sum differences land exactly on gamma
+    values = np.array(ints, dtype=np.float64) * step
+    gamma = (m if on_lattice else m - 0.5) * step
+    assert additive_energy(RealSequence(values), gamma).count == brute_energy_count(values, gamma)
 
 
 def test_energy_monotone_in_gamma(rng):
