@@ -9,8 +9,9 @@ Usage: python scripts/run_converse_experiment.py [--trials 20] [--seed 101]
 import argparse
 import sys
 
-from modone import (GeneratorConfig, LIOUVILLE_ALPHA, converse_density_l2,
-                    converse_experiment, converse_schedule, convergents)
+from modone import (GeneratorConfig, LIOUVILLE_ALPHA, ScaleFunction,
+                    arithmetic_sequence, converse_experiment, converse_schedule,
+                    convergents, dilated_density_l2)
 
 
 def main() -> int:
@@ -35,9 +36,12 @@ def main() -> int:
         generator=GeneratorConfig(kind="theorem1", c=1.0))
     print("well-spaced control:  ", control.describe())
 
+    # the base points n are replaced by the rational orbit n p/q: the local
+    # statistics at scale 1/N are unchanged by that at the schedule sizes
     cv = {c.q: c for c in convergents(args.alpha, max(sched.q_values))}
+    widths = ScaleFunction.power_log(args.c)
     for n, q in zip(sched.n_values, sched.q_values):
-        l2 = converse_density_l2(n, cv[q].p, q, args.alpha, c=args.c)
+        l2 = dilated_density_l2(arithmetic_sequence(cv[q].p / q, n), widths, args.alpha)
         print(f"  density second moment with rational orbit p/q at q={q}: {l2:.4f}")
     return 0
 

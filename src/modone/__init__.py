@@ -5,7 +5,7 @@ from .seqcore import (RealSequence, TorusPoints, circ_dist, frac_part,
 from .generators import (Convergent, ConverseSchedule, GOLDEN_ALPHA,
                          LIOUVILLE_ALPHA, PerturbationSpec, ScaleFunction,
                          arithmetic_sequence, converse_schedule, convergents,
-                         eval_scale, gen_base, gen_converse, gen_theorem1,
+                         gen_base, gen_converse, gen_theorem1,
                          perturb, power_sequence, van_der_corput)
 from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
                     GapDistribution, additive_energy, discrepancy,
@@ -16,10 +16,9 @@ from .density import (density_l2, expected_pair_correlation,
                       sweep_density_integrals)
 from .experiments import (ConverseReport, EnergyCertificate, GConditionReport,
                           GeneratorConfig, StatSummary, SubsequenceReport,
-                          TrialPlan, check_g_conditions, converse_density_l2,
-                          converse_experiment, derive_trial,
-                          energy_certificate, run_trials, subsequence_check,
-                          theorem1_density_l2)
+                          TrialPlan, check_g_conditions, converse_experiment,
+                          derive_trial, dilated_density_l2, energy_certificate,
+                          run_trials, subsequence_check)
 from .io import ResultRecord, plan_from_json, read_points, write_points
 
 __version__ = "0.1.0"

@@ -101,21 +101,11 @@ def _emit(records, args, command: str) -> None:
 
 
 def _cmd_gen(args) -> list:
-    if args.kind in ("theorem1", "converse"):
-        if args.seed is None:
-            raise _CliError(f"--kind {args.kind} requires --seed")
-        if args.c is None:
-            raise _CliError(f"--kind {args.kind} requires --c")
-        config = GeneratorConfig(kind=args.kind, c=args.c)
-        seq = config.build(args.n, args.seed)
-    else:
-        if args.kind == "arith" and args.alpha is None:
-            raise _CliError("--kind arith requires --alpha")
-        if args.kind == "power" and args.theta is None:
-            raise _CliError("--kind power requires --theta")
-        config = GeneratorConfig(kind=_LIBRARY_KIND[args.kind], alpha=args.alpha,
-                                 theta=args.theta, base=args.base)
-        seq = config.build(args.n, args.seed or 0)
+    if args.kind in ("theorem1", "converse") and args.seed is None:
+        raise _CliError(f"--kind {args.kind} requires --seed")
+    config = GeneratorConfig(kind=_LIBRARY_KIND.get(args.kind, args.kind), alpha=args.alpha,
+                             theta=args.theta, base=args.base, c=args.c)
+    seq = config.build(args.n, args.seed or 0)
     mio.write_points(args.out, seq.values)
     return []
 

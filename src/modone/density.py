@@ -33,6 +33,7 @@ import numpy as np
 
 from .generators import ScaleFunction
 from .seqcore import RealSequence, frac_part
+from .stats import check_pair_window
 
 
 def _boxes(base: RealSequence, scale: ScaleFunction):
@@ -41,15 +42,6 @@ def _boxes(base: RealSequence, scale: ScaleFunction):
     if np.any(widths <= 0):
         raise ValueError("density machinery needs strictly positive widths")
     return centers, widths
-
-
-def _check_window(s: float, n: int) -> float:
-    if s <= 0:
-        raise ValueError("need s > 0")
-    w = s / n
-    if w >= 0.5:
-        raise ValueError("window s/N must stay below half the circle")
-    return w
 
 
 def _arcs(centers, widths):
@@ -125,7 +117,8 @@ def expected_window_count(base: RealSequence, scale: ScaleFunction,
     sum_n 1_{A_n} / (2 g(n)), read off the level table at the two window ends.
     """
     n = base.n
-    w = _check_window(s, n)
+    check_pair_window(s, n)
+    w = s / n
     centers, widths = _boxes(base, scale)
     table = _level_table(centers, widths, 1.0 / (2.0 * widths))
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -163,7 +156,8 @@ def expected_pair_correlation(base: RealSequence, scale: ScaleFunction,
     * length over the segments.
     """
     n = base.n
-    w = _check_window(s, n)
+    check_pair_window(s, n)
+    w = s / n
     centers, widths = _boxes(base, scale)
     rates = 1.0 / (2.0 * widths)
     start, end = _arcs(centers, widths)

@@ -5,7 +5,6 @@ certificate, and the fourth-power subsequence concentration check."""
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -13,9 +12,9 @@ from typing import Optional
 import numpy as np
 
 from .density import density_l2
-from .generators import (PerturbationSpec, ScaleFunction, arithmetic_sequence,
-                         gen_base, gen_converse, gen_theorem1, perturb)
-from .seqcore import RealSequence
+from .generators import (PerturbationSpec, ScaleFunction, gen_base, gen_converse,
+                         gen_theorem1, perturb)
+from .seqcore import RealSequence, _is_int, _is_real
 from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
                     additive_energy, check_k_level_window, check_pair_window,
                     k_level_correlation, pair_correlation, reduce_scaled)
@@ -33,6 +32,7 @@ class GeneratorConfig:
     kind: arithmetic | power | van_der_corput | theorem1 | converse.
     `scale` optionally perturbs the base kinds with seeded uniform shifts;
     theorem1/converse carry their own width family unless overridden.
+    Construction checks the kind, its parameter, and the parameter's range.
     """
 
     kind: str
@@ -42,14 +42,25 @@ class GeneratorConfig:
     c: Optional[float] = None
     scale: Optional[ScaleFunction] = None
 
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _KIND_PARAMETER:
+            raise ValueError(f"unknown generator kind {self.kind!r}; expected one of "
+                             + ", ".join(_KIND_PARAMETER))
+        name = _KIND_PARAMETER[self.kind]
+        value = getattr(self, name)
+        if name == "base":
+            ok, what = _is_int(value), "an integer"
+        else:
+            ok, what = _is_real(value) and math.isfinite(value), "a finite number"
+        if not ok:
+            raise ValueError(f"generator {self.kind} needs {name} as {what}, got {value!r}")
+        # the builders check the parameter's range (c, alpha != 0, theta > 0, base >= 2)
+        self.build(1, 0)
+
     def build(self, n: int, seed: int) -> RealSequence:
         if self.kind == "theorem1":
-            if self.c is None:
-                raise ValueError("theorem1 needs c")
             return gen_theorem1(self.c, n, seed, scale=self.scale)
         if self.kind == "converse":
-            if self.c is None:
-                raise ValueError("converse needs c")
             return gen_converse(self.c, n, seed, scale=self.scale)
         seq = gen_base(self.kind, n, alpha=self.alpha, theta=self.theta,
                        base=self.base)
@@ -93,18 +104,6 @@ class TrialPlan:
             raise ValueError(f"alpha_mode values must be finite, got {params}")
         if mode == "uniform" and not params[0] < params[1]:
             raise ValueError(f"alpha_mode uniform needs lo < hi, got {params}")
-        kind = self.generator.kind
-        if kind not in _KIND_PARAMETER:
-            raise ValueError(f"unknown generator kind {kind!r}; expected one of "
-                             + ", ".join(_KIND_PARAMETER))
-        name = _KIND_PARAMETER[kind]
-        value = getattr(self.generator, name)
-        if name == "base":
-            ok, what = _is_int(value), "an integer"
-        else:
-            ok, what = _is_real(value) and math.isfinite(value), "a finite number"
-        if not ok:
-            raise ValueError(f"generator {kind} needs {name} as {what}, got {value!r}")
         object.__setattr__(self, "n_schedule", ns)
         object.__setattr__(self, "windows", tuple(self.windows))
         # both checks only tighten as N shrinks, so the smallest N decides
@@ -116,15 +115,6 @@ class TrialPlan:
                     check_k_level_window(w, ns[0])
             except ValueError as exc:
                 raise ValueError(f"window {w.describe()} at N={ns[0]}: {exc}") from None
-
-
-def _is_int(v) -> bool:
-    # JSON plans give floats and strings as they are; bool is an int subclass
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def derive_trial(master_seed: int, t: int, alpha_mode=("fixed", 1.0)):
@@ -175,9 +165,6 @@ class StatSummary:
     @property
     def standard_errors(self) -> np.ndarray:
         return np.sqrt(self.sample_variances / self.values.shape[0])
-
-    def mean(self, n_idx: int, w_idx: int = 0) -> float:
-        return float(self.means[n_idx, w_idx])
 
 
 def run_trials(plan: TrialPlan, threads: int = 1) -> StatSummary:
@@ -294,26 +281,14 @@ def converse_experiment(c: float, alpha: float, schedule, trials: int,
                         generator: Optional[GeneratorConfig] = None) -> ConverseReport:
     """Mean dilated pair statistic of the counterexample construction (or of a
     substitute generator, to compare harnesses) along the schedule sizes."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    sched = tuple(int(n) for n in schedule)
-    if not sched:
-        raise ValueError("empty schedule")
     gen = generator if generator is not None else GeneratorConfig(kind="converse", c=c)
-    n_max = max(sched)
-    means = []
-    acc = np.zeros(len(sched))
-    for t in range(trials):
-        zseed, _ = derive_trial(seed, t)
-        seq = gen.build(n_max, zseed)
-        for i, n in enumerate(sched):
-            pts = reduce_scaled(seq.prefix(n), alpha)
-            acc[i] += pair_correlation(pts, s)
-    means = acc / trials
+    plan = TrialPlan(gen, tuple(schedule), (CorrelationWindow.pair(s),), trials, seed,
+                     ("fixed", alpha))
+    means = run_trials(plan).means[:, 0]
     ratios = means / (2.0 * s)
     max_ratio = float(np.max(ratios))
     return ConverseReport(
-        n_values=sched,
+        n_values=plan.n_schedule,
         means=tuple(float(v) for v in means),
         ratios=tuple(float(r) for r in ratios),
         max_ratio=max_ratio,
@@ -393,20 +368,10 @@ def subsequence_check(summary: StatSummary) -> SubsequenceReport:
 # density diagnostics used by the experiment scripts
 
 
-def theorem1_density_l2(n: int, alpha: float, c: float = 1.0) -> float:
-    """Exact second moment of the dilated perturbation density for the
-    well-spaced construction: base (2 alpha) n with widths alpha * beck(c)."""
-    base = arithmetic_sequence(2.0 * alpha, n)
-    beck = ScaleFunction.beck(c)
-    widths = alpha * np.asarray(beck.eval(np.arange(1, n + 1)))
-    return density_l2(base, ScaleFunction.table(widths))
-
-
-def converse_density_l2(n: int, p: int, q: int, alpha: float, c: float = 0.5) -> float:
-    """Same diagnostic for the counterexample construction with the base
-    points replaced by the rational orbit n p/q (the local statistics at
-    scale 1/N are unchanged by that replacement at the schedule sizes)."""
-    base = RealSequence(np.arange(1, n + 1, dtype=np.float64) * (p / q))
-    plog = ScaleFunction.power_log(c)
-    widths = alpha * np.asarray(plog.eval(np.arange(1, n + 1)))
+def dilated_density_l2(base: RealSequence, family: ScaleFunction, alpha: float) -> float:
+    """Exact second moment of the perturbation density of `base` with the
+    widths of `family` dilated by alpha. The well-spaced construction takes
+    base (2 alpha) n with the beck family; the counterexample takes the
+    rational orbit n p/q with the power_log family."""
+    widths = alpha * np.asarray(family.eval(np.arange(1, base.n + 1)))
     return density_l2(base, ScaleFunction.table(widths))

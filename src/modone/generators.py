@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .seqcore import RealSequence
+from .seqcore import RealSequence, _is_real
 
 # Width functions are clamped below this index: log log n is undefined or
 # negative up to e^e ~ 15.15, and the asymptotic hypotheses only constrain the tail.
@@ -42,25 +42,28 @@ class ScaleFunction:
 
     @classmethod
     def beck(cls, c: float, n_min: int = DEFAULT_N_MIN) -> "ScaleFunction":
-        if c <= 0:
-            raise ValueError("beck family needs c > 0")
-        return cls(family="beck", c=c, n_min=n_min)
+        if not (_is_real(c) and c > 0):
+            raise ValueError(f"beck family needs c > 0, got {c!r}")
+        return cls(family="beck", c=float(c), n_min=n_min)
 
     @classmethod
     def power_log(cls, c: float, n_min: int = DEFAULT_N_MIN) -> "ScaleFunction":
-        if c <= 0:
-            raise ValueError("power_log family needs c > 0")
-        return cls(family="power_log", c=c, n_min=n_min)
+        if not (_is_real(c) and c > 0):
+            raise ValueError(f"power_log family needs c > 0, got {c!r}")
+        return cls(family="power_log", c=float(c), n_min=n_min)
 
     @classmethod
     def constant(cls, g0: float) -> "ScaleFunction":
-        if g0 < 0:
-            raise ValueError("constant family needs g0 >= 0")
-        return cls(family="constant", g0=g0, n_min=1)
+        if not (_is_real(g0) and g0 >= 0):
+            raise ValueError(f"constant family needs g0 >= 0, got {g0!r}")
+        return cls(family="constant", g0=float(g0), n_min=1)
 
     @classmethod
     def table(cls, values) -> "ScaleFunction":
-        vals = tuple(float(v) for v in values)
+        try:
+            vals = tuple(float(v) for v in values)
+        except (TypeError, ValueError):
+            raise ValueError(f"table widths must be numbers, got {values!r}") from None
         if any(v < 0 for v in vals):
             raise ValueError("table widths must be nonnegative")
         return cls(family="table", values=vals, n_min=1)
@@ -101,13 +104,6 @@ class ScaleFunction:
             return float(self.eval(int(round(x))))
         xc = max(float(x), float(self.n_min))
         return float(min(self._formula(np.asarray(xc)), WIDTH_CAP))
-
-    def __call__(self, n):
-        return self.eval(n)
-
-
-def eval_scale(g: ScaleFunction, n) -> float | np.ndarray:
-    return g.eval(n)
 
 
 @dataclass(frozen=True)

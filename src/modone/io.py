@@ -119,34 +119,41 @@ class ResultRecord:
 #   "master_seed": 7,
 #   "alpha_mode": {"uniform": [1.0, 2.0]}
 # }
-# All seeds are mandatory; there are no entropy defaults.
+# All seeds are mandatory; there are no entropy defaults. Values pass through
+# unconverted, and the constructors reject what is not a number.
+
+
+def _expect(value, kind: type, what: str):
+    """`value` itself when it has the JSON container type `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _scale_from_dict(obj) -> ScaleFunction:
-    fam = obj["family"]
+    fam = _expect(obj, dict, "scale")["family"]
     if fam == "beck":
-        return ScaleFunction.beck(float(obj["c"]))
+        return ScaleFunction.beck(obj["c"])
     if fam == "power_log":
-        return ScaleFunction.power_log(float(obj["c"]))
+        return ScaleFunction.power_log(obj["c"])
     if fam == "constant":
-        return ScaleFunction.constant(float(obj["g0"]))
+        return ScaleFunction.constant(obj["g0"])
     if fam == "table":
         return ScaleFunction.table(obj["values"])
     raise ValueError(f"unknown scale family {fam!r}")
 
 
 def _window_from_dict(obj) -> CorrelationWindow:
-    if "pair_s" in obj:
-        return CorrelationWindow.pair(float(obj["pair_s"]))
-    return CorrelationWindow(k=int(obj["k"]),
-                             intervals=tuple(tuple(iv) for iv in obj["intervals"]))
+    if "pair_s" in _expect(obj, dict, "window"):
+        return CorrelationWindow.pair(obj["pair_s"])
+    return CorrelationWindow(k=obj["k"], intervals=obj["intervals"])
 
 
 def plan_from_json(text: str) -> TrialPlan:
-    obj = json.loads(text)
+    obj = _expect(json.loads(text), dict, "config")
     if "master_seed" not in obj:
         raise ValueError("config must set master_seed explicitly")
-    gen = obj["generator"]
+    gen = _expect(obj["generator"], dict, "generator")
     config = GeneratorConfig(
         kind=gen["kind"],
         alpha=gen.get("alpha"),
@@ -156,7 +163,6 @@ def plan_from_json(text: str) -> TrialPlan:
         scale=_scale_from_dict(gen["scale"]) if "scale" in gen else None,
     )
     am = obj.get("alpha_mode", {"fixed": 1.0})
-    # values pass through unconverted; TrialPlan rejects what is not a number
     if isinstance(am, dict) and "fixed" in am:
         alpha_mode = ("fixed", am["fixed"])
     elif isinstance(am, dict) and isinstance(am.get("uniform"), list):
@@ -165,8 +171,8 @@ def plan_from_json(text: str) -> TrialPlan:
         raise ValueError("alpha_mode must carry 'fixed' or a 'uniform' [lo, hi] list")
     return TrialPlan(
         generator=config,
-        n_schedule=tuple(obj["n_schedule"]),
-        windows=tuple(_window_from_dict(w) for w in obj["windows"]),
+        n_schedule=tuple(_expect(obj["n_schedule"], list, "n_schedule")),
+        windows=tuple(_window_from_dict(w) for w in _expect(obj["windows"], list, "windows")),
         trials=obj["trials"],
         master_seed=obj["master_seed"],
         alpha_mode=alpha_mode,

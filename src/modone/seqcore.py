@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _is_int(v) -> bool:
+    # JSON plans give floats and strings as they are; bool is an int subclass
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _as_float_array(values) -> np.ndarray:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import RealSequence, TorusPoints, frac_part, frac_reduce, scale_by_alpha
+from .seqcore import (RealSequence, TorusPoints, _is_int, _is_real, frac_part,
+                      frac_reduce, scale_by_alpha)
 
 ENERGY_DEFAULT_CAP = 8192
 
@@ -64,9 +65,13 @@ class CorrelationWindow:
     intervals: tuple
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("need k >= 2")
-        ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+        if not (_is_int(self.k) and self.k >= 2):
+            raise ValueError(f"need an integer k >= 2, got {self.k!r}")
+        try:
+            ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+        except (TypeError, ValueError):
+            raise ValueError("intervals must be (lo, hi) number pairs,"
+                             f" got {self.intervals!r}") from None
         if len(ivs) != self.k - 1:
             raise ValueError(f"expected {self.k - 1} intervals, got {len(ivs)}")
         for lo, hi in ivs:
@@ -76,8 +81,8 @@ class CorrelationWindow:
 
     @classmethod
     def pair(cls, s: float) -> "CorrelationWindow":
-        if s <= 0:
-            raise ValueError("need s > 0")
+        if not (_is_real(s) and s > 0):
+            raise ValueError(f"need s > 0, got {s!r}")
         return cls(k=2, intervals=((-s, s),))
 
     @property

@@ -69,7 +69,7 @@ def test_criterion_02_pair_limit_two_s():
     summary = run_trials(plan)
     devs = {}
     for j, s in enumerate((0.5, 1.0, 2.0)):
-        mu = summary.mean(0, j)
+        mu = summary.means[0, j]
         devs[s] = abs(mu - 2 * s) / (2 * s)
     elapsed = time.time() - t0
     ok = all(d <= 0.05 for d in devs.values()) and elapsed < 60.0
@@ -89,8 +89,8 @@ def test_criterion_03_three_level_windows():
         alpha_mode=("uniform", 1.0, 2.0),
     )
     summary = run_trials(plan)
-    dev_unit = abs(summary.mean(0, 0) - 1.0) / 1.0
-    dev_four = abs(summary.mean(0, 1) - 4.0) / 4.0
+    dev_unit = abs(summary.means[0, 0] - 1.0) / 1.0
+    dev_four = abs(summary.means[0, 1] - 4.0) / 4.0
     ok = dev_unit <= 0.10 and dev_four <= 0.10
     _report(3, ok, f"3-level windows rel devs {dev_unit:.4f} (target 1), "
                    f"{dev_four:.4f} (target 4), tol 0.10")
@@ -136,7 +136,7 @@ def test_criterion_06_expectation_identity():
         alpha_mode=("fixed", 1.0),
     )
     summary = run_trials(plan)
-    mean = summary.mean(0, 0)
+    mean = summary.means[0, 0]
     se = float(summary.standard_errors[0, 0])
     ok = abs(mean - value) <= 3 * se
     _report(6, ok, f"trial mean {mean:.5f} vs exact integral {value:.5f}: "

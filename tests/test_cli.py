@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +221,12 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--kind", "theorem1", "--n", "5",
                        "--out", str(tmp_path / "x.csv"))   # missing seed and c
     assert code == 1
+    code, _, err = run(capsys, "gen", "--kind", "converse", "--n", "5", "--seed", "1",
+                       "--out", str(tmp_path / "x.csv"))   # missing c
+    assert code == 1 and "needs c" in err and err.count("\n") == 1
+    code, _, err = run(capsys, "check", "--what", "gcond", "--scale", "beck",
+                       "--kind", "power", "--n", "100")   # missing theta
+    assert code == 1 and "needs theta" in err and err.count("\n") == 1
 
 
 def test_stat_rejects_non_finite_points(tmp_path, capsys):
@@ -293,6 +301,24 @@ def test_config_requires_master_seed(tmp_path, capsys):
     ("generator", {"kind": "nosuch"}, "unknown generator kind 'nosuch'"),
     ("generator", {"kind": "arithmetic"}, "needs alpha as a finite number"),
     ("generator", {"kind": "van_der_corput", "base": 2.5}, "needs base as an integer"),
+    ("windows", [{"pair_s": None}], "need s > 0"),
+    ("windows", [[0, 1]], "window must be a dict"),
+    ("windows", [{"k": 3, "intervals": 5}], "intervals must be"),
+    ("generator", None, "generator must be a dict"),
+    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "beck", "c": None}},
+     "beck family needs c > 0"),
+    ("windows", [{"k": 3.7, "intervals": [[0, 1], [0, 1]]}], "integer k"),
+    ("windows", [{"k": "3", "intervals": [[0, 1], [0, 1]]}], "integer k"),
+    ("generator", {"kind": "converse", "c": 0.9}, "0 < c <= 1/2"),
+    ("generator", {"kind": "arithmetic", "alpha": 0}, "alpha must be nonzero"),
+    ("generator", {"kind": "theorem1", "c": -1}, "c > 0"),
+    ("generator", {"kind": "power", "theta": -0.5}, "theta > 0"),
+    ("generator", {"kind": "van_der_corput", "base": 1}, "base >= 2"),
+    ("windows", 5, "windows must be a list"),
+    ("n_schedule", 5, "n_schedule must be a list"),
+    ("generator", {"kind": ["theorem1"], "c": 1.0}, "unknown generator kind"),
+    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "table", "values": None}},
+     "table widths must be numbers"),
 ])
 def test_exp_rejects_bad_plans_before_any_trial(tmp_path, capsys, field, value, needle):
     plan = {"generator": {"kind": "theorem1", "c": 1.0}, "n_schedule": [100],
@@ -314,3 +340,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
                        "--no-timing", "--out", str(target))
     assert code == 0 and out == ""
     assert len(target.read_text().splitlines()) == 2
+
+
+def test_trace_hooks_find_every_patched_name(monkeypatch):
+    # the benchmark's --trace 1 swaps these module attributes by name
+    import modone
+    from modone import cli, experiments
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    originals = (cli.run_trials, experiments.derive_trial)
+    with tracing.Tracer().patched(modone):
+        assert (cli.run_trials, experiments.derive_trial) != originals
+    assert (cli.run_trials, experiments.derive_trial) == originals

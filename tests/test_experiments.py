@@ -5,9 +5,9 @@ from numpy.testing import assert_array_equal
 from modone import (CorrelationWindow, GOLDEN_ALPHA, GeneratorConfig,
                     LIOUVILLE_ALPHA, RealSequence, ScaleFunction, TrialPlan,
                     arithmetic_sequence, check_g_conditions,
-                    converse_experiment, derive_trial, discrepancy_profile,
-                    energy_certificate, frac_reduce, gen_base,
-                    pair_correlation, run_trials, subsequence_check)
+                    converse_experiment, derive_trial, dilated_density_l2,
+                    discrepancy_profile, energy_certificate, frac_reduce,
+                    gen_base, pair_correlation, run_trials, subsequence_check)
 
 from oracles import brute_energy_count
 
@@ -67,7 +67,7 @@ def test_single_trial_identity_with_direct_statistic():
     direct = pair_correlation(frac_reduce(gen_base("arithmetic", 200,
                                                    alpha=GOLDEN_ALPHA)), 1.0)
     assert summary.values[0, 0, 0] == direct
-    assert summary.mean(0, 0) == direct
+    assert summary.means[0, 0] == direct
     assert summary.standard_errors[0, 0] == 0.0
 
 
@@ -121,9 +121,16 @@ def test_thread_count_does_not_change_results():
 
 
 def test_trial_errors_carry_the_trial_index():
-    plan = small_plan(generator=GeneratorConfig(kind="converse", c=0.9), trials=2)
+    # a width table shorter than N fails only when a trial builds the sequence
+    short = ScaleFunction.table([0.1] * 10)
+    plan = small_plan(generator=GeneratorConfig(kind="theorem1", c=1.0, scale=short), trials=2)
     with pytest.raises(RuntimeError, match="trial 0"):
         run_trials(plan)
+
+
+def test_generator_config_checks_the_range_at_construction():
+    with pytest.raises(ValueError, match="0 < c <= 1/2"):
+        GeneratorConfig(kind="converse", c=0.9)
 
 
 def test_mixed_windows_match_individual_statistics(rng):
@@ -190,6 +197,12 @@ def test_converse_validation():
         converse_experiment(0.5, LIOUVILLE_ALPHA, [], trials=1, seed=3)
 
 
+def test_converse_means_are_pinned():
+    # recorded before converse_experiment moved onto run_trials
+    rep = converse_experiment(0.5, LIOUVILLE_ALPHA, [1000, 5000], 7, 11)
+    assert rep.means == (1.1297142857142857, 1.1924571428571427)
+
+
 def test_converse_generator_override_smoke():
     rep = converse_experiment(0.5, LIOUVILLE_ALPHA, [50, 100], trials=2, seed=3,
                               generator=GeneratorConfig(kind="theorem1", c=1.0))
@@ -253,21 +266,21 @@ def test_subsequence_check_needs_three_points():
 # density diagnostics
 
 def test_density_l2_decreases_for_wellspaced_construction():
-    from modone import theorem1_density_l2
-
     _, alpha = derive_trial(888, 0, ("uniform", 1.0, 2.0))
-    vals = [theorem1_density_l2(n, alpha) for n in (1000, 10_000, 100_000)]
+    vals = [dilated_density_l2(arithmetic_sequence(2.0 * alpha, n), ScaleFunction.beck(1.0), alpha)
+            for n in (1000, 10_000, 100_000)]
     assert vals[0] > vals[1] > vals[2] >= 1.0
 
 
 def test_density_l2_stays_concentrated_for_converse_orbit():
-    from modone import converse_density_l2, converse_schedule, convergents
+    from modone import converse_schedule, convergents
 
     sched = converse_schedule(LIOUVILLE_ALPHA, 2)
     cv = {c.q: c for c in convergents(LIOUVILLE_ALPHA, max(sched.q_values))}
     # first schedule point is enough to exercise the rational-orbit pileup
     n, q = sched.n_values[0], sched.q_values[0]
-    l2 = converse_density_l2(n, cv[q].p, q, LIOUVILLE_ALPHA)
+    l2 = dilated_density_l2(arithmetic_sequence(cv[q].p / q, n), ScaleFunction.power_log(0.5),
+                            LIOUVILLE_ALPHA)
     assert l2 >= 1.1
 
 

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from modone import (GOLDEN_ALPHA, LIOUVILLE_ALPHA, PerturbationSpec,
                     ScaleFunction, arithmetic_sequence, converse_schedule,
-                    convergents, eval_scale, gen_base, gen_converse,
+                    convergents, gen_base, gen_converse,
                     gen_theorem1, perturb, power_sequence, van_der_corput)
 from modone.generators import schedule_size
 
@@ -18,40 +18,40 @@ from modone.generators import schedule_size
 def test_beck_value_direct_formula():
     # independent evaluation straight from the formula
     expected = math.log(100) * math.log(math.log(100)) ** 2 / 100
-    assert eval_scale(ScaleFunction.beck(1.0), 100) == pytest.approx(expected, abs=1e-12)
+    assert ScaleFunction.beck(1.0).eval(100) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.10741, abs=1e-5)
 
 
 def test_power_log_value_direct_formula():
     expected = math.log(100) ** 0.5 / 100
-    assert eval_scale(ScaleFunction.power_log(0.5), 100) == pytest.approx(expected, abs=1e-12)
+    assert ScaleFunction.power_log(0.5).eval(100) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.021460, abs=1e-6)
 
 
 def test_constant_family():
-    assert eval_scale(ScaleFunction.constant(0.1), 7) == 0.1
+    assert ScaleFunction.constant(0.1).eval(7) == 0.1
     # the hard width cap applies to every family
-    assert eval_scale(ScaleFunction.constant(0.7), 3) == 0.45
+    assert ScaleFunction.constant(0.7).eval(3) == 0.45
 
 
 def test_clamp_below_n_min():
     g = ScaleFunction.beck(1.0)
-    assert eval_scale(g, 3) == eval_scale(g, 16)
-    assert eval_scale(g, 15) == eval_scale(g, 16)
+    assert g.eval(3) == g.eval(16)
+    assert g.eval(15) == g.eval(16)
 
 
 def test_width_cap_binds_for_degenerate_parameters():
     g = ScaleFunction.power_log(4.0, n_min=16)
     # (log 16)^4 / 16 = 3.69... would exceed the cap
-    assert eval_scale(g, 16) == 0.45
+    assert g.eval(16) == 0.45
 
 
 def test_table_family_and_range_error():
     g = ScaleFunction.table([0.1, 0.2, 0.3])
-    assert eval_scale(g, 2) == 0.2
+    assert g.eval(2) == 0.2
     assert_allclose(g.eval(np.array([1, 3])), [0.1, 0.3])
     with pytest.raises(ValueError):
-        eval_scale(g, 4)
+        g.eval(4)
 
 
 def test_families_monotone_non_increasing_in_tail():
@@ -72,7 +72,7 @@ def test_family_parameter_validation():
     with pytest.raises(ValueError):
         ScaleFunction.constant(-0.1)
     with pytest.raises(ValueError):
-        eval_scale(ScaleFunction.beck(1.0), 0)
+        ScaleFunction.beck(1.0).eval(0)
 
 
 # ---------------------------------------------------------------------------
