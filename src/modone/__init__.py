@@ -3,10 +3,9 @@
 from .seqcore import (RealSequence, TorusPoints, circ_dist, frac_part,
                       frac_reduce, scale_by_alpha)
 from .generators import (Convergent, ConverseSchedule, GOLDEN_ALPHA,
-                         LIOUVILLE_ALPHA, PerturbationSpec, ScaleFunction,
-                         arithmetic_sequence, converse_schedule, convergents,
-                         gen_base, gen_converse, gen_theorem1,
-                         perturb, power_sequence, van_der_corput)
+                         LIOUVILLE_ALPHA, ScaleFunction, arithmetic_sequence,
+                         converse_schedule, convergents, gen_base, gen_converse,
+                         gen_theorem1, perturb, power_sequence, van_der_corput)
 from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
                     GapDistribution, additive_energy, discrepancy,
                     discrepancy_profile, gap_distribution, k_level_correlation,

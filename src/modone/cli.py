@@ -11,17 +11,13 @@ import sys
 import time
 
 from . import io as mio
-from .experiments import (GeneratorConfig, check_g_conditions,
-                          energy_certificate, run_trials)
-from .generators import LIOUVILLE_ALPHA, ScaleFunction
+from .experiments import (_BASE_PARAMETER, _KIND_PARAMETER, GeneratorConfig,
+                          check_g_conditions, energy_certificate, run_trials)
+from .generators import _SCALE_PARAMETER, LIOUVILLE_ALPHA
 from .seqcore import RealSequence, frac_reduce
 from .stats import (CorrelationWindow, additive_energy, discrepancy,
                     discrepancy_profile, gap_distribution, k_level_correlation,
                     pair_correlation)
-
-
-# CLI --kind names of the base families -> GeneratorConfig kinds
-_LIBRARY_KIND = {"arith": "arithmetic", "power": "power", "vdc": "van_der_corput"}
 
 
 class _CliError(Exception):
@@ -38,11 +34,10 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate a sequence and write a points file")
-    g.add_argument("--kind", required=True,
-                   choices=["arith", "power", "vdc", "theorem1", "converse"])
-    g.add_argument("--alpha", type=float, help="step for --kind arith")
+    g.add_argument("--kind", required=True, choices=list(_KIND_PARAMETER))
+    g.add_argument("--alpha", type=float, help="step for --kind arithmetic")
     g.add_argument("--theta", type=float, help="exponent for --kind power")
-    g.add_argument("--base", type=int, default=2, help="radix for --kind vdc")
+    g.add_argument("--base", type=int, default=2, help="radix for --kind van_der_corput")
     g.add_argument("--c", type=float, help="width parameter for theorem1/converse")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, help="required for the perturbed kinds")
@@ -72,10 +67,11 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("check", help="width-condition report or energy certificate")
     c.add_argument("--what", required=True, choices=["gcond", "energy"])
-    c.add_argument("--scale", choices=["beck", "powerlog", "const"])
-    c.add_argument("--c", type=float)
-    c.add_argument("--g0", type=float)
-    c.add_argument("--kind", choices=["arith", "power", "vdc"], default="arith")
+    # a table of widths does not fit on the command line
+    c.add_argument("--scale", choices=[f for f in _SCALE_PARAMETER if f != "table"])
+    c.add_argument("--c", type=float, help="parameter of --scale beck and power_log")
+    c.add_argument("--g0", type=float, help="width of --scale constant")
+    c.add_argument("--kind", choices=list(_BASE_PARAMETER), default="arithmetic")
     c.add_argument("--alpha", type=float, default=LIOUVILLE_ALPHA)
     c.add_argument("--theta", type=float)
     c.add_argument("--base", type=int, default=2)
@@ -100,12 +96,15 @@ def _emit(records, args, command: str) -> None:
         sys.stdout.write(text)
 
 
+def _generator(args) -> GeneratorConfig:
+    param = _KIND_PARAMETER[args.kind]
+    return GeneratorConfig(kind=args.kind, **{param: getattr(args, param)})
+
+
 def _cmd_gen(args) -> list:
-    if args.kind in ("theorem1", "converse") and args.seed is None:
+    if args.kind not in _BASE_PARAMETER and args.seed is None:
         raise _CliError(f"--kind {args.kind} requires --seed")
-    config = GeneratorConfig(kind=_LIBRARY_KIND.get(args.kind, args.kind), alpha=args.alpha,
-                             theta=args.theta, base=args.base, c=args.c)
-    seq = config.build(args.n, args.seed or 0)
+    seq = _generator(args).build(args.n, args.seed or 0)
     mio.write_points(args.out, seq.values)
     return []
 
@@ -127,10 +126,9 @@ def _cmd_stat(args) -> list:
     records = []
     any_stat = False
 
-    def record(statistic, value, window=None, error=None, error_kind=None, t0=None):
+    def record(statistic, value, window=None, t0=None):
         records.append(mio.ResultRecord(
-            command="stat", statistic=statistic, value=float(value), n=seq.n,
-            window=window, error=error, error_kind=error_kind,
+            command="stat", statistic=statistic, value=float(value), n=seq.n, window=window,
             wall_time_ms=None if t0 is None else (time.perf_counter() - t0) * 1e3))
 
     if args.ppc:
@@ -144,7 +142,7 @@ def _cmd_stat(args) -> list:
             raise _CliError("--klevel requires --windows")
         w = _parse_windows(args.windows, args.k)
         t0 = time.perf_counter()
-        v = k_level_correlation(pts, w)
+        v = pair_correlation(pts, w.intervals[0][1]) if w.is_pair else k_level_correlation(pts, w)
         record("k_level_correlation", v, window=w.describe(), t0=t0)
     if args.disc:
         any_stat = True
@@ -198,14 +196,9 @@ def _cmd_check(args) -> list:
     if args.what == "gcond":
         if args.scale is None or args.n is None:
             raise _CliError("check gcond requires --scale and --n")
-        if args.scale == "beck":
-            scale = ScaleFunction.beck(args.c if args.c is not None else 1.0)
-        elif args.scale == "powerlog":
-            scale = ScaleFunction.power_log(args.c if args.c is not None else 0.5)
-        else:
-            scale = ScaleFunction.constant(args.g0 if args.g0 is not None else 0.1)
-        config = GeneratorConfig(kind=_LIBRARY_KIND[args.kind], alpha=args.alpha,
-                                 theta=args.theta, base=args.base)
+        param = _SCALE_PARAMETER[args.scale]
+        scale = mio._scale_from_dict({"family": args.scale, param: getattr(args, param)})
+        config = _generator(args)
         t0 = time.perf_counter()
         seq = config.build(args.n, 0)
         prof = discrepancy_profile(seq, grid="geometric", ratio=args.ratio)

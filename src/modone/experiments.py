@@ -12,17 +12,18 @@ from typing import Optional
 import numpy as np
 
 from .density import density_l2
-from .generators import (PerturbationSpec, ScaleFunction, gen_base, gen_converse,
-                         gen_theorem1, perturb)
+from .generators import (ScaleFunction, gen_base, gen_converse, gen_theorem1,
+                         perturb)
 from .seqcore import RealSequence, _is_int, _is_real
 from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
                     additive_energy, check_k_level_window, check_pair_window,
                     k_level_correlation, pair_correlation, reduce_scaled)
 
 
-# the parameter each GeneratorConfig kind cannot be built without
-_KIND_PARAMETER = {"arithmetic": "alpha", "power": "theta", "van_der_corput": "base",
-                   "theorem1": "c", "converse": "c"}
+# the one parameter each GeneratorConfig kind takes: the base sequences, then
+# the two perturbed constructions
+_BASE_PARAMETER = {"arithmetic": "alpha", "power": "theta", "van_der_corput": "base"}
+_KIND_PARAMETER = {**_BASE_PARAMETER, "theorem1": "c", "converse": "c"}
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,8 @@ class GeneratorConfig:
     kind: arithmetic | power | van_der_corput | theorem1 | converse.
     `scale` optionally perturbs the base kinds with seeded uniform shifts;
     theorem1/converse carry their own width family unless overridden.
-    Construction checks the kind, its parameter, and the parameter's range.
+    Construction checks the kind, that it is given its own parameter and no
+    other, and the parameter's range.
     """
 
     kind: str
@@ -47,6 +49,10 @@ class GeneratorConfig:
             raise ValueError(f"unknown generator kind {self.kind!r}; expected one of "
                              + ", ".join(_KIND_PARAMETER))
         name = _KIND_PARAMETER[self.kind]
+        others = [f for f in ("alpha", "theta", "base", "c")
+                  if f != name and getattr(self, f) is not None]
+        if others:
+            raise ValueError(f"generator {self.kind} takes {name} but not {', '.join(others)}")
         value = getattr(self, name)
         if name == "base":
             ok, what = _is_int(value), "an integer"
@@ -65,7 +71,7 @@ class GeneratorConfig:
         seq = gen_base(self.kind, n, alpha=self.alpha, theta=self.theta,
                        base=self.base)
         if self.scale is not None:
-            seq = perturb(seq, PerturbationSpec(seed=seed, scale=self.scale))
+            seq = perturb(seq, self.scale, seed)
         return seq
 
 
@@ -109,7 +115,7 @@ class TrialPlan:
         # both checks only tighten as N shrinks, so the smallest N decides
         for w in self.windows:
             try:
-                if _is_pair_window(w):
+                if w.is_pair:
                     check_pair_window(w.intervals[0][1], ns[0])
                 else:
                     check_k_level_window(w, ns[0])
@@ -131,15 +137,8 @@ def derive_trial(master_seed: int, t: int, alpha_mode=("fixed", 1.0)):
     return zseed, alpha
 
 
-def _is_pair_window(window: CorrelationWindow) -> bool:
-    # symmetric two-point windows take the strict-< pair statistic; everything
-    # else uses the half-open k-level count
-    lo, hi = window.intervals[0]
-    return window.k == 2 and lo == -hi and hi > 0
-
-
 def _window_statistic(pts, window: CorrelationWindow) -> float:
-    if _is_pair_window(window):
+    if window.is_pair:
         return pair_correlation(pts, window.intervals[0][1])
     return k_level_correlation(pts, window)
 
@@ -304,7 +303,6 @@ def converse_experiment(c: float, alpha: float, schedule, trials: int,
 @dataclass(frozen=True)
 class EnergyCertificate:
     energy: EnergyResult
-    well_spaced: bool
     lower_ok: bool       # count >= N^2 (diagonal)
     upper_bound: float   # (2 gamma + 1) N^3 + 4 N^2, spacing delta = 1
     upper_ok: bool
@@ -324,7 +322,6 @@ def energy_certificate(seq: RealSequence, gamma: float) -> EnergyCertificate:
     upper = (2.0 * gamma + 1.0) * n**3 + 4.0 * n**2
     return EnergyCertificate(
         energy=res,
-        well_spaced=True,
         lower_ok=res.count >= n * n,
         upper_bound=upper,
         upper_ok=res.count <= upper,

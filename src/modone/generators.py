@@ -31,32 +31,32 @@ class ScaleFunction:
       constant:  g(n) = g0
       table:     g(n) = table[n-1]  (explicit per-index widths)
 
-    Evaluation clamps the index at n_min and caps the value at WIDTH_CAP.
+    Evaluation clamps the index of the formula families at DEFAULT_N_MIN and
+    caps the value at WIDTH_CAP.
     """
 
     family: str
     c: float = 0.0
     g0: float = 0.0
     values: Optional[tuple] = None
-    n_min: int = DEFAULT_N_MIN
 
     @classmethod
-    def beck(cls, c: float, n_min: int = DEFAULT_N_MIN) -> "ScaleFunction":
+    def beck(cls, c: float) -> "ScaleFunction":
         if not (_is_real(c) and c > 0):
             raise ValueError(f"beck family needs c > 0, got {c!r}")
-        return cls(family="beck", c=float(c), n_min=n_min)
+        return cls(family="beck", c=float(c))
 
     @classmethod
-    def power_log(cls, c: float, n_min: int = DEFAULT_N_MIN) -> "ScaleFunction":
+    def power_log(cls, c: float) -> "ScaleFunction":
         if not (_is_real(c) and c > 0):
             raise ValueError(f"power_log family needs c > 0, got {c!r}")
-        return cls(family="power_log", c=float(c), n_min=n_min)
+        return cls(family="power_log", c=float(c))
 
     @classmethod
     def constant(cls, g0: float) -> "ScaleFunction":
         if not (_is_real(g0) and g0 >= 0):
             raise ValueError(f"constant family needs g0 >= 0, got {g0!r}")
-        return cls(family="constant", g0=float(g0), n_min=1)
+        return cls(family="constant", g0=float(g0))
 
     @classmethod
     def table(cls, values) -> "ScaleFunction":
@@ -66,7 +66,7 @@ class ScaleFunction:
             raise ValueError(f"table widths must be numbers, got {values!r}") from None
         if any(v < 0 for v in vals):
             raise ValueError("table widths must be nonnegative")
-        return cls(family="table", values=vals, n_min=1)
+        return cls(family="table", values=vals)
 
     def _formula(self, n: np.ndarray) -> np.ndarray:
         if self.family == "beck":
@@ -90,7 +90,7 @@ class ScaleFunction:
                                  f" table of length {len(self.values)}")
             out = np.asarray(self.values, dtype=np.float64)[idx - 1]
         else:
-            clamped = np.maximum(np.asarray(idx, dtype=np.float64), float(self.n_min))
+            clamped = np.maximum(np.asarray(idx, dtype=np.float64), float(DEFAULT_N_MIN))
             out = self._formula(clamped)
         out = np.minimum(out, WIDTH_CAP)
         if np.ndim(n) == 0:
@@ -102,33 +102,24 @@ class ScaleFunction:
         regularity-condition checker); table rounds to the nearest index."""
         if self.family == "table":
             return float(self.eval(int(round(x))))
-        xc = max(float(x), float(self.n_min))
+        xc = max(float(x), float(DEFAULT_N_MIN))
         return float(min(self._formula(np.asarray(xc)), WIDTH_CAP))
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Seeded i.i.d. shifts z_n ~ Unif[-g(n), g(n)].
+# The parameter of each width family; the family's constructor carries its name.
+_SCALE_PARAMETER = {"beck": "c", "power_log": "c", "constant": "g0", "table": "values"}
 
-    The stream is produced by a counter-based generator keyed by the seed, so
-    z_n depends on (seed, n) only: prefixes agree for every N >= n, matching a
-    single infinite random sequence.
+
+def perturb(base: RealSequence, scale: ScaleFunction, seed: int) -> RealSequence:
+    """x_n + z_n with i.i.d. shifts z_n ~ Unif[-g(n), g(n)].
+
+    The shifts come from a counter-based generator (Philox) keyed by the
+    seed, so z_n depends on (seed, n) only: prefixes agree for every N >= n,
+    matching a single infinite random sequence.
     """
-
-    seed: int
-    scale: ScaleFunction
-
-    def draw(self, n: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(key=self.seed))
-        u = rng.random(n)
-        g = np.asarray(self.scale.eval(np.arange(1, n + 1)), dtype=np.float64)
-        return u * (2.0 * g) - g
-
-
-def perturb(base: RealSequence, spec: PerturbationSpec) -> RealSequence:
-    """x_n + z_n with z_n ~ Unif[-g(n), g(n)], determined by (seed, n)."""
-    z = spec.draw(base.n)
-    return RealSequence(base.values + z)
+    u = np.random.Generator(np.random.Philox(key=seed)).random(base.n)
+    g = np.asarray(scale.eval(np.arange(1, base.n + 1)), dtype=np.float64)
+    return RealSequence(base.values + (u * (2.0 * g) - g))
 
 
 def arithmetic_sequence(alpha: float, n: int) -> RealSequence:
@@ -196,7 +187,7 @@ def gen_theorem1(c: float, n: int, seed: int,
     """
     base = RealSequence(2.0 * np.arange(1, n + 1, dtype=np.float64))
     g = scale if scale is not None else ScaleFunction.beck(c)
-    return perturb(base, PerturbationSpec(seed=seed, scale=g))
+    return perturb(base, g, seed)
 
 
 def gen_converse(c: float, n: int, seed: int,
@@ -206,7 +197,7 @@ def gen_converse(c: float, n: int, seed: int,
         raise ValueError("need 0 < c <= 1/2")
     base = RealSequence(np.arange(1, n + 1, dtype=np.float64))
     g = scale if scale is not None else ScaleFunction.power_log(c)
-    return perturb(base, PerturbationSpec(seed=seed, scale=g))
+    return perturb(base, g, seed)
 
 
 @dataclass(frozen=True)

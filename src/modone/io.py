@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .generators import ScaleFunction
+from .generators import _SCALE_PARAMETER, ScaleFunction
 from .stats import CorrelationWindow
-from .experiments import GeneratorConfig, TrialPlan
+from .experiments import _KIND_PARAMETER, GeneratorConfig, TrialPlan
 
 POINTS_HEADER_PREFIX = "# modone-points v1 n="
 SCHEMA_VERSION = 1
@@ -120,7 +120,8 @@ class ResultRecord:
 #   "alpha_mode": {"uniform": [1.0, 2.0]}
 # }
 # All seeds are mandatory; there are no entropy defaults. Values pass through
-# unconverted, and the constructors reject what is not a number.
+# unconverted, and the constructors reject what is not a number. A key that
+# the object does not take is an error, not ignored.
 
 
 def _expect(value, kind: type, what: str):
@@ -130,32 +131,38 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _only(obj: dict, keys, what: str) -> dict:
+    """`obj` itself when it has no key outside `keys`."""
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}")
+    return obj
+
+
 def _scale_from_dict(obj) -> ScaleFunction:
-    fam = _expect(obj, dict, "scale")["family"]
-    if fam == "beck":
-        return ScaleFunction.beck(obj["c"])
-    if fam == "power_log":
-        return ScaleFunction.power_log(obj["c"])
-    if fam == "constant":
-        return ScaleFunction.constant(obj["g0"])
-    if fam == "table":
-        return ScaleFunction.table(obj["values"])
-    raise ValueError(f"unknown scale family {fam!r}")
+    """The width family named by obj["family"], built from its one parameter."""
+    fam = _expect(obj, dict, "scale").get("family")
+    if not isinstance(fam, str) or fam not in _SCALE_PARAMETER:
+        raise ValueError(f"unknown scale family {fam!r}")
+    param = _SCALE_PARAMETER[fam]
+    return getattr(ScaleFunction, fam)(_only(obj, ("family", param), "scale").get(param))
 
 
 def _window_from_dict(obj) -> CorrelationWindow:
     if "pair_s" in _expect(obj, dict, "window"):
-        return CorrelationWindow.pair(obj["pair_s"])
-    return CorrelationWindow(k=obj["k"], intervals=obj["intervals"])
+        return CorrelationWindow.pair(_only(obj, ("pair_s",), "window")["pair_s"])
+    _only(obj, ("k", "intervals"), "window")
+    return CorrelationWindow(k=obj.get("k"), intervals=obj.get("intervals"))
 
 
 def plan_from_json(text: str) -> TrialPlan:
-    obj = _expect(json.loads(text), dict, "config")
-    if "master_seed" not in obj:
-        raise ValueError("config must set master_seed explicitly")
-    gen = _expect(obj["generator"], dict, "generator")
+    obj = _only(_expect(json.loads(text), dict, "config"),
+                ("generator", "n_schedule", "windows", "trials", "master_seed", "alpha_mode"),
+                "config")
+    gen = _only(_expect(obj.get("generator"), dict, "generator"),
+                ("kind", "scale", *_KIND_PARAMETER.values()), "generator")
     config = GeneratorConfig(
-        kind=gen["kind"],
+        kind=gen.get("kind"),
         alpha=gen.get("alpha"),
         theta=gen.get("theta"),
         base=gen.get("base"),
@@ -163,17 +170,17 @@ def plan_from_json(text: str) -> TrialPlan:
         scale=_scale_from_dict(gen["scale"]) if "scale" in gen else None,
     )
     am = obj.get("alpha_mode", {"fixed": 1.0})
-    if isinstance(am, dict) and "fixed" in am:
+    if isinstance(am, dict) and list(am) == ["fixed"]:
         alpha_mode = ("fixed", am["fixed"])
-    elif isinstance(am, dict) and isinstance(am.get("uniform"), list):
+    elif isinstance(am, dict) and list(am) == ["uniform"] and isinstance(am["uniform"], list):
         alpha_mode = ("uniform", *am["uniform"])
     else:
-        raise ValueError("alpha_mode must carry 'fixed' or a 'uniform' [lo, hi] list")
+        raise ValueError("alpha_mode must carry only 'fixed' or a 'uniform' [lo, hi] list")
     return TrialPlan(
         generator=config,
-        n_schedule=tuple(_expect(obj["n_schedule"], list, "n_schedule")),
-        windows=tuple(_window_from_dict(w) for w in _expect(obj["windows"], list, "windows")),
-        trials=obj["trials"],
-        master_seed=obj["master_seed"],
+        n_schedule=tuple(_expect(obj.get("n_schedule"), list, "n_schedule")),
+        windows=tuple(_window_from_dict(w) for w in _expect(obj.get("windows"), list, "windows")),
+        trials=obj.get("trials"),
+        master_seed=obj.get("master_seed"),
         alpha_mode=alpha_mode,
     )

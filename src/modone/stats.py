@@ -5,6 +5,9 @@ Counting conventions (deliberate, measure-zero for randomized inputs): the
 pair statistic uses a strict < threshold on circle distance; k-level windows
 are half-open [lo, hi); the energy count uses strict |.| < gamma over ordered
 quadruples; discrepancy uses closed intervals including degenerate ones.
+A symmetric k = 2 window (-s, s) is the pair window (`CorrelationWindow.is_pair`)
+and is scored by the pair statistic at s wherever a window is scored, in
+`stat --klevel` and in trial plans alike.
 """
 
 from __future__ import annotations
@@ -68,10 +71,12 @@ class CorrelationWindow:
         if not (_is_int(self.k) and self.k >= 2):
             raise ValueError(f"need an integer k >= 2, got {self.k!r}")
         try:
-            ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+            ivs = tuple((lo, hi) for lo, hi in self.intervals)
         except (TypeError, ValueError):
-            raise ValueError("intervals must be (lo, hi) number pairs,"
-                             f" got {self.intervals!r}") from None
+            ivs = None
+        if ivs is None or not all(_is_real(v) for iv in ivs for v in iv):
+            raise ValueError(f"intervals must be (lo, hi) number pairs, got {self.intervals!r}")
+        ivs = tuple((float(lo), float(hi)) for lo, hi in ivs)
         if len(ivs) != self.k - 1:
             raise ValueError(f"expected {self.k - 1} intervals, got {len(ivs)}")
         for lo, hi in ivs:
@@ -84,6 +89,13 @@ class CorrelationWindow:
         if not (_is_real(s) and s > 0):
             raise ValueError(f"need s > 0, got {s!r}")
         return cls(k=2, intervals=((-s, s),))
+
+    @property
+    def is_pair(self) -> bool:
+        """A symmetric k = 2 window (-s, s), scored by the strict-< pair
+        statistic at s rather than by the half-open k-level count."""
+        lo, hi = self.intervals[0]
+        return self.k == 2 and lo == -hi
 
     @property
     def poisson_target(self) -> float:
@@ -380,6 +392,4 @@ def gap_distribution(pts: TorusPoints) -> GapDistribution:
 
 def reduce_scaled(seq: RealSequence, alpha: float = 1.0) -> TorusPoints:
     """Convenience: dilate by alpha and reduce modulo 1."""
-    if alpha == 1.0:
-        return frac_reduce(seq)
     return frac_reduce(scale_by_alpha(seq, alpha))

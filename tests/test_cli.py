@@ -1,13 +1,17 @@
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from modone import GOLDEN_ALPHA, ResultRecord, read_points, write_points
+from modone import (GOLDEN_ALPHA, GeneratorConfig, ResultRecord, ScaleFunction,
+                    read_points, write_points)
 from modone.cli import run_cli
+from modone.experiments import _KIND_PARAMETER
+from modone.generators import _SCALE_PARAMETER
 
 
 def run(capsys, *argv):
@@ -122,7 +126,7 @@ def test_stat_disc_two_point_example(tmp_path, capsys):
 
 def test_stat_all_statistics(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
-    run(capsys, "gen", "--kind", "vdc", "--base", "2", "--n", "200",
+    run(capsys, "gen", "--kind", "van_der_corput", "--base", "2", "--n", "200",
         "--out", str(pts))
     code, out, _ = run(capsys, "stat", "--in", str(pts), "--ppc", "--s", "0.5",
                        "--klevel", "--k", "3", "--windows", "0:1,0:1",
@@ -137,7 +141,7 @@ def test_stat_all_statistics(tmp_path, capsys):
 
 def test_exp_single_trial_matches_stat(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
-    run(capsys, "gen", "--kind", "arith", "--alpha", repr(GOLDEN_ALPHA),
+    run(capsys, "gen", "--kind", "arithmetic", "--alpha", repr(GOLDEN_ALPHA),
         "--n", "500", "--out", str(pts))
     code, out, _ = run(capsys, "stat", "--in", str(pts), "--ppc", "--s", "1.0",
                        "--no-timing")
@@ -161,7 +165,7 @@ def test_exp_single_trial_matches_stat(tmp_path, capsys):
 
 def test_check_gcond(capsys):
     code, out, _ = run(capsys, "check", "--what", "gcond", "--scale", "beck",
-                       "--c", "1", "--kind", "arith",
+                       "--c", "1", "--kind", "arithmetic",
                        "--alpha", repr(GOLDEN_ALPHA), "--n", "20000",
                        "--ratio", "1.12", "--no-timing")
     assert code == 0
@@ -211,7 +215,7 @@ def test_cli_byte_determinism(tmp_path, capsys):
 def test_exit_code_validation_errors(tmp_path, capsys):
     code, _, err = run(capsys, "stat", "--in", str(tmp_path / "nope.csv"), "--ppc")
     assert code == 1 and err.startswith("modone: error:")
-    code, _, err = run(capsys, "gen", "--kind", "arith", "--n", "5",
+    code, _, err = run(capsys, "gen", "--kind", "arithmetic", "--n", "5",
                        "--out", str(tmp_path / "x.csv"))
     assert code == 1
     code, _, err = run(capsys, "stat", "--in", str(tmp_path / "nope.csv"))
@@ -224,7 +228,7 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--kind", "converse", "--n", "5", "--seed", "1",
                        "--out", str(tmp_path / "x.csv"))   # missing c
     assert code == 1 and "needs c" in err and err.count("\n") == 1
-    code, _, err = run(capsys, "check", "--what", "gcond", "--scale", "beck",
+    code, _, err = run(capsys, "check", "--what", "gcond", "--scale", "beck", "--c", "1",
                        "--kind", "power", "--n", "100")   # missing theta
     assert code == 1 and "needs theta" in err and err.count("\n") == 1
 
@@ -319,6 +323,23 @@ def test_config_requires_master_seed(tmp_path, capsys):
     ("generator", {"kind": ["theorem1"], "c": 1.0}, "unknown generator kind"),
     ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "table", "values": None}},
      "table widths must be numbers"),
+    ("windows", [{"k": 3, "intervals": [["0", "1"], [0, 1]]}], "intervals must be"),
+    ("windows", [{"k": 3, "intervals": [[0, 1], [True, 2]]}], "intervals must be"),
+    ("alpha_mod", {"uniform": [1, 2]}, "config has unknown key 'alpha_mod'"),
+    ("generator", {"kind": "theorem1", "c": 1.0, "scael": {"family": "beck", "c": 1}},
+     "generator has unknown key 'scael'"),
+    ("windows", [{"pair_s": 1, "k": 3}], "window has unknown key 'k'"),
+    ("windows", [{"k": 3, "intervals": [[0, 1], [0, 1]], "s": 1}], "window has unknown key 's'"),
+    ("generator", {"kind": "theorem1", "c": 1, "alpha": 5, "theta": -3},
+     "generator theorem1 takes c but not alpha, theta"),
+    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "beck"}},
+     "beck family needs c > 0, got None"),
+    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "constant", "g0": 0.1,
+                                                           "c": 1}}, "scale has unknown key 'c'"),
+    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": ["beck"]}},
+     "unknown scale family"),
+    ("generator", {"c": 1.0}, "unknown generator kind None"),
+    ("alpha_mode", {"fixed": 1.0, "uniform": [1, 2]}, "alpha_mode"),
 ])
 def test_exp_rejects_bad_plans_before_any_trial(tmp_path, capsys, field, value, needle):
     plan = {"generator": {"kind": "theorem1", "c": 1.0}, "n_schedule": [100],
@@ -330,6 +351,56 @@ def test_exp_rejects_bad_plans_before_any_trial(tmp_path, capsys, field, value, 
     assert code == 1 and out == ""
     assert err.startswith("modone: error:") and err.count("\n") == 1
     assert needle in err
+
+
+def test_symmetric_k2_window_scores_alike_in_stat_and_exp(tmp_path, capsys):
+    # the points j/1024 make the strict-< pair count and the half-open
+    # k-level count differ at the window ends
+    pts = tmp_path / "vdc.pts"
+    run(capsys, "gen", "--kind", "van_der_corput", "--base", "2", "--n", "1024",
+        "--out", str(pts))
+    code, out, _ = run(capsys, "stat", "--in", str(pts), "--klevel", "--k", "2",
+                       "--windows=-1:1", "--no-timing")
+    assert code == 0
+    stat_rec = records_of(out)[0]
+    config = tmp_path / "plan.json"
+    config.write_text(json.dumps({
+        "generator": {"kind": "van_der_corput", "base": 2}, "n_schedule": [1024],
+        "windows": [{"k": 2, "intervals": [[-1, 1]]}], "trials": 1, "master_seed": 0}))
+    code, out, _ = run(capsys, "exp", "--config", str(config), "--no-timing")
+    assert code == 0
+    exp_rec = records_of(out)[0]
+    assert stat_rec["window"] == exp_rec["window"] == "k=2:-1:1"
+    assert stat_rec["value"] == exp_rec["value"] == 2 / 1024
+
+
+def _choices(err):
+    # argparse lists the accepted names of an invalid choice in parentheses
+    names = re.search(r"choose from (.*)\)", err).group(1)
+    return {name.strip(" '") for name in names.split(",")}
+
+
+def test_cli_uses_the_library_vocabulary(tmp_path, capsys):
+    kinds = set(_KIND_PARAMETER)
+    for kind, param in _KIND_PARAMETER.items():
+        GeneratorConfig(kind=kind, **{param: 2 if param == "base" else 0.5})
+    code, _, err = run(capsys, "gen", "--kind", "arith", "--alpha", "1", "--n", "5",
+                       "--out", str(tmp_path / "x.pts"))
+    assert code == 1 and err.count("\n") == 1 and "arithmetic" in err
+    assert _choices(err) == kinds == {"arithmetic", "power", "van_der_corput",
+                                      "theorem1", "converse"}
+
+    scalar_families = set()
+    for family in _SCALE_PARAMETER:
+        try:
+            getattr(ScaleFunction, family)(0.5)
+            scalar_families.add(family)
+        except ValueError:
+            pass
+    code, _, err = run(capsys, "check", "--what", "gcond", "--scale", "powerlog",
+                       "--c", "1", "--n", "100")
+    assert code == 1 and err.count("\n") == 1
+    assert _choices(err) == scalar_families == {"beck", "power_log", "constant"}
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modone import (PerturbationSpec, RealSequence, ScaleFunction, density_l2,
+from modone import (RealSequence, ScaleFunction, density_l2,
                     expected_pair_correlation, expected_window_count,
                     frac_reduce, pair_correlation, perturb,
                     perturbation_density, sweep_density_integrals)
@@ -217,7 +217,7 @@ def test_expectation_identity_monte_carlo(rng):
     trials = 1500
     vals = np.empty(trials)
     for t in range(trials):
-        pert = perturb(base, PerturbationSpec(seed=t, scale=g))
+        pert = perturb(base, g, t)
         vals[t] = pair_correlation(frac_reduce(pert), s)
     mc = vals.mean()
     se = vals.std(ddof=1) / math.sqrt(trials)

@@ -218,7 +218,7 @@ def test_energy_certificate_integer_progression():
     cert = energy_certificate(seq, 0.5)
     assert cert.energy.count == (2 * n**3 + n) // 3 == 2736
     assert cert.energy.count == brute_energy_count(seq.values, 0.5)
-    assert cert.well_spaced and cert.lower_ok and cert.upper_ok
+    assert cert.lower_ok and cert.upper_ok
 
 
 def test_energy_certificate_rejects_crowded_sequences():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from modone import (GOLDEN_ALPHA, LIOUVILLE_ALPHA, PerturbationSpec,
-                    ScaleFunction, arithmetic_sequence, converse_schedule,
+from modone import (GOLDEN_ALPHA, LIOUVILLE_ALPHA, ScaleFunction, arithmetic_sequence, converse_schedule,
                     convergents, gen_base, gen_converse,
                     gen_theorem1, perturb, power_sequence, van_der_corput)
 from modone.generators import schedule_size
@@ -41,7 +40,7 @@ def test_clamp_below_n_min():
 
 
 def test_width_cap_binds_for_degenerate_parameters():
-    g = ScaleFunction.power_log(4.0, n_min=16)
+    g = ScaleFunction.power_log(4.0)
     # (log 16)^4 / 16 = 3.69... would exceed the cap
     assert g.eval(16) == 0.45
 
@@ -126,41 +125,41 @@ def test_gen_base_validation():
 
 def test_perturb_zero_width_table_is_identity():
     base = arithmetic_sequence(2.0, 10)
-    spec = PerturbationSpec(seed=5, scale=ScaleFunction.table(np.zeros(10)))
-    assert_array_equal(perturb(base, spec).values, base.values)
+    assert_array_equal(perturb(base, ScaleFunction.table(np.zeros(10)), 5).values,
+                       base.values)
 
 
 def test_perturb_support_bound_exhaustive():
     n = 500
     base = arithmetic_sequence(2.0, n)
     g = ScaleFunction.beck(1.0)
-    out = perturb(base, PerturbationSpec(seed=11, scale=g)).values
+    out = perturb(base, g, 11).values
     bound = np.asarray(g.eval(np.arange(1, n + 1)))
     assert np.all(np.abs(out - base.values) <= bound)
 
 
 def test_perturb_bitwise_determinism():
     base = arithmetic_sequence(2.0, 10)
-    spec = PerturbationSpec(seed=42, scale=ScaleFunction.beck(1.0))
-    a = perturb(base, spec).values
-    b = perturb(base, spec).values
+    g = ScaleFunction.beck(1.0)
+    a = perturb(base, g, 42).values
+    b = perturb(base, g, 42).values
     assert_array_equal(a, b)
 
 
 def test_perturb_prefix_consistency():
     # z_n depends on (seed, n) only: the length-10 stream is a prefix of the
     # length-1000 stream
-    spec_small = PerturbationSpec(seed=9, scale=ScaleFunction.constant(0.2))
-    z10 = perturb(arithmetic_sequence(1.0, 10), spec_small).values - np.arange(1, 11)
-    z1000 = perturb(arithmetic_sequence(1.0, 1000), spec_small).values - np.arange(1, 1001)
+    g = ScaleFunction.constant(0.2)
+    z10 = perturb(arithmetic_sequence(1.0, 10), g, 9).values - np.arange(1, 11)
+    z1000 = perturb(arithmetic_sequence(1.0, 1000), g, 9).values - np.arange(1, 1001)
     assert_array_equal(z10, z1000[:10])
 
 
 def test_different_seeds_differ():
     base = arithmetic_sequence(2.0, 50)
     g = ScaleFunction.constant(0.2)
-    a = perturb(base, PerturbationSpec(seed=1, scale=g)).values
-    b = perturb(base, PerturbationSpec(seed=2, scale=g)).values
+    a = perturb(base, g, 1).values
+    b = perturb(base, g, 2).values
     assert not np.array_equal(a, b)
 
 
