@@ -112,6 +112,10 @@ class TrialPlan:
             raise ValueError(f"alpha_mode uniform needs lo < hi, got {params}")
         object.__setattr__(self, "n_schedule", ns)
         object.__setattr__(self, "windows", tuple(self.windows))
+        if not self.windows:
+            raise ValueError("windows must be nonempty")
+        if self.generator.scale is not None:
+            self.generator.scale.eval(ns[-1])   # a width table must reach the largest N
         # both checks only tighten as N shrinks, so the smallest N decides
         for w in self.windows:
             try:
@@ -230,8 +234,13 @@ class GConditionReport:
 def check_g_conditions(scale: ScaleFunction,
                        profile: DiscrepancyProfile) -> GConditionReport:
     """Trend-flag the three regularity hypotheses against a measured
-    discrepancy profile of the base sequence. Reports, never rejects."""
+    discrepancy profile of the base sequence. Reports, never rejects the
+    scale; the profile's top decade must hold at least two grid sizes."""
     n = profile.n_grid.astype(np.float64)
+    top = n >= n[-1] / 10.0
+    if np.count_nonzero(top) < 2:
+        raise ValueError(f"the top decade of the grid up to N={int(n[-1])} holds fewer "
+                         "than two sizes to fit the trend slopes on")
     d = profile.d_values
     m_run = profile.running_max_nd()
     g = np.array([scale.eval_real(x) for x in n])
@@ -240,7 +249,6 @@ def check_g_conditions(scale: ScaleFunction,
     stretched = n * (1.0 + m_run / (n * g))
     traj3 = np.array([scale.eval_real(x) for x in stretched]) / g
 
-    top = n >= n[-1] / 10.0
     logn = np.log(n[top])
     slope1 = float(np.polyfit(logn, np.log(traj1[top]), 1)[0])
     slope2 = float(np.polyfit(logn, np.log(traj2[top]), 1)[0])
@@ -267,16 +275,10 @@ class ConverseReport:
     means: tuple
     ratios: tuple            # mean / (2s) per schedule point
     max_ratio: float
-    margin: float
-    exceeds: bool            # max_ratio > 1 + margin
-
-    def describe(self) -> str:
-        rows = ", ".join(f"N={n}: {r:.4f}" for n, r in zip(self.n_values, self.ratios))
-        return f"ratios [{rows}] max={self.max_ratio:.4f} exceeds(>{1 + self.margin})={self.exceeds}"
 
 
 def converse_experiment(c: float, alpha: float, schedule, trials: int,
-                        seed: int, s: float = 1.0, margin: float = 0.2,
+                        seed: int, s: float = 1.0,
                         generator: Optional[GeneratorConfig] = None) -> ConverseReport:
     """Mean dilated pair statistic of the counterexample construction (or of a
     substitute generator, to compare harnesses) along the schedule sizes."""
@@ -285,14 +287,11 @@ def converse_experiment(c: float, alpha: float, schedule, trials: int,
                      ("fixed", alpha))
     means = run_trials(plan).means[:, 0]
     ratios = means / (2.0 * s)
-    max_ratio = float(np.max(ratios))
     return ConverseReport(
         n_values=plan.n_schedule,
         means=tuple(float(v) for v in means),
         ratios=tuple(float(r) for r in ratios),
-        max_ratio=max_ratio,
-        margin=margin,
-        exceeds=max_ratio > 1.0 + margin,
+        max_ratio=float(np.max(ratios)),
     )
 
 
@@ -342,7 +341,11 @@ class SubsequenceReport:
 
 def subsequence_check(summary: StatSummary) -> SubsequenceReport:
     """Per schedule point, compare |mean - target| to the concentration rate
-    3 N^(-1/4); the schedule should carry at least 3 fourth-power-like sizes."""
+    3 N^(-1/4); the schedule should carry at least 3 fourth-power-like sizes.
+
+    The rate bounds the absolute deviation, not the relative one, so it fits
+    windows whose Poisson target is of order 1. A window with a large target
+    (k = 5 on [-1,1]^4 has 16) fails it at a small relative deviation."""
     plan = summary.plan
     if plan.trials < 1:
         raise ValueError("summary carries no trials")

@@ -64,8 +64,8 @@ class ScaleFunction:
             vals = tuple(float(v) for v in values)
         except (TypeError, ValueError):
             raise ValueError(f"table widths must be numbers, got {values!r}") from None
-        if any(v < 0 for v in vals):
-            raise ValueError("table widths must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in vals):
+            raise ValueError("table widths must be finite and nonnegative")
         return cls(family="table", values=vals)
 
     def _formula(self, n: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ ENERGY_DEFAULT_CAP = 8192
 
 def check_pair_window(s: float, n: int) -> None:
     """Raise ValueError unless the pair statistic accepts s at N = n."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("need s > 0")
     if s / n >= 0.5:
         raise ValueError("window s/N must be smaller than half the circle")
@@ -228,8 +228,8 @@ class DiscrepancyProfile:
 
 
 def _geometric_grid(n: int, ratio: float) -> np.ndarray:
-    if ratio <= 1.0:
-        raise ValueError("need ratio > 1")
+    if not (math.isfinite(ratio) and ratio > 1.0):
+        raise ValueError(f"need a finite grid ratio > 1, got {ratio}")
     pts = []
     x = 1.0
     while True:
@@ -326,7 +326,7 @@ def additive_energy(seq: RealSequence, gamma: float,
     + 2 C(diag, off) + C(diag, diag). The diagonal (c,d) = (a,b) makes the
     count at least N^2.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("need gamma > 0")
     n = seq.n
     if n > cap:

@@ -226,3 +226,22 @@ def test_criterion_10_byte_determinism(tmp_path):
     ok = blob_a == blob_b
     _report(10, ok, f"two identical seeded CLI runs byte-identical "
                     f"({len(blob_a)} bytes compared)")
+
+
+def test_criterion_11_higher_level_windows():
+    plan = TrialPlan(
+        generator=GeneratorConfig(kind="theorem1", c=1.0),
+        n_schedule=(100_000,),
+        windows=(CorrelationWindow(k=4, intervals=((0.0, 1.0),) * 3),
+                 CorrelationWindow(k=5, intervals=((-0.5, 0.5),) * 4)),
+        trials=20,
+        master_seed=1111,
+        alpha_mode=("uniform", 1.0, 2.0),
+    )
+    summary = run_trials(plan)
+    devs = np.abs(summary.means[0] - 1.0)
+    ok = bool(np.all(devs <= 0.10))
+    _report(11, ok, f"4- and 5-level windows (target 1) means "
+                    f"{summary.means[0, 0]:.4f} (se {summary.standard_errors[0, 0]:.4f}), "
+                    f"{summary.means[0, 1]:.4f} (se {summary.standard_errors[0, 1]:.4f}), "
+                    f"rel devs {devs[0]:.4f}, {devs[1]:.4f}, tol 0.10")

@@ -231,6 +231,22 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--what", "gcond", "--scale", "beck", "--c", "1",
                        "--kind", "power", "--n", "100")   # missing theta
     assert code == 1 and "needs theta" in err and err.count("\n") == 1
+    vdc, thm = tmp_path / "vdc.pts", tmp_path / "thm.pts"
+    run(capsys, "gen", "--kind", "van_der_corput", "--n", "64", "--out", str(vdc))
+    run(capsys, "gen", "--kind", "theorem1", "--c", "1", "--n", "64", "--seed", "1",
+        "--out", str(thm))
+    gcond = ("check", "--what", "gcond", "--scale", "beck", "--c", "1")
+    for argv, needle in [
+            (("stat", "--in", str(vdc), "--ppc", "--s", "nan"), "need s > 0"),
+            (("stat", "--in", str(vdc), "--energy", "--gamma", "nan"), "need gamma > 0"),
+            (("check", "--what", "energy", "--in", str(thm), "--gamma", "nan"),
+             "need gamma > 0"),
+            ((*gcond, "--n", "1"), "fewer than two sizes"),
+            ((*gcond, "--n", "100", "--ratio", "inf"), "finite grid ratio > 1"),
+            ((*gcond, "--n", "100", "--ratio", "nan"), "finite grid ratio > 1")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1, argv
+        assert err.startswith("modone: error:") and needle in err, argv
 
 
 def test_stat_rejects_non_finite_points(tmp_path, capsys):
@@ -340,6 +356,12 @@ def test_config_requires_master_seed(tmp_path, capsys):
      "unknown scale family"),
     ("generator", {"c": 1.0}, "unknown generator kind None"),
     ("alpha_mode", {"fixed": 1.0, "uniform": [1, 2]}, "alpha_mode"),
+    ("windows", [], "windows must be nonempty"),
+    ("generator", {"kind": "theorem1", "c": 1.0,
+                   "scale": {"family": "table", "values": [0.1, float("nan"), 0.1]}},
+     "table widths must be finite"),
+    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "table", "values": [0.1]}},
+     "index beyond the table of length 1"),
 ])
 def test_exp_rejects_bad_plans_before_any_trial(tmp_path, capsys, field, value, needle):
     plan = {"generator": {"kind": "theorem1", "c": 1.0}, "n_schedule": [100],

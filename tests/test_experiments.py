@@ -121,10 +121,9 @@ def test_thread_count_does_not_change_results():
 
 
 def test_trial_errors_carry_the_trial_index():
-    # a width table shorter than N fails only when a trial builds the sequence
-    short = ScaleFunction.table([0.1] * 10)
-    plan = small_plan(generator=GeneratorConfig(kind="theorem1", c=1.0, scale=short), trials=2)
-    with pytest.raises(RuntimeError, match="trial 0"):
+    # a dilation that overflows float64 fails only when a trial reduces the sequence
+    plan = small_plan(alpha_mode=("fixed", 1e308), trials=2)
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="trial 0"):
         run_trials(plan)
 
 
@@ -187,7 +186,6 @@ def test_converse_smoke_small():
     rep = converse_experiment(0.5, LIOUVILLE_ALPHA, [26], trials=1, seed=3)
     assert len(rep.ratios) == 1
     assert rep.max_ratio == rep.ratios[0]
-    assert isinstance(rep.describe(), str)
 
 
 def test_converse_validation():
