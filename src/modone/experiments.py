@@ -12,8 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .density import density_l2
-from .generators import (ScaleFunction, gen_base, gen_converse, gen_theorem1,
-                         perturb)
+from .generators import (WIDTH_CAP, ScaleFunction, gen_base, gen_converse,
+                         gen_theorem1, perturb)
 from .seqcore import RealSequence, _is_int, _is_real
 from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
                     additive_energy, check_k_level_window, check_pair_window,
@@ -75,6 +75,23 @@ class GeneratorConfig:
         return seq
 
 
+def _value_bound(gen: GeneratorConfig, n: int) -> float:
+    """An upper bound on |x_k| for k <= n over the sequences gen builds."""
+    if gen.kind == "arithmetic":
+        bound = abs(gen.alpha) * n
+    elif gen.kind == "power":
+        try:
+            bound = float(n) ** gen.theta
+        except OverflowError:
+            bound = math.inf
+    elif gen.kind == "van_der_corput":
+        bound = 1.0
+    else:
+        bound = 2.0 * n if gen.kind == "theorem1" else float(n)
+    perturbed = gen.scale is not None or gen.kind in ("theorem1", "converse")
+    return bound + WIDTH_CAP if perturbed else bound
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     """Full experiment configuration; reproducible from master_seed alone."""
@@ -110,6 +127,10 @@ class TrialPlan:
             raise ValueError(f"alpha_mode values must be finite, got {params}")
         if mode == "uniform" and not params[0] < params[1]:
             raise ValueError(f"alpha_mode uniform needs lo < hi, got {params}")
+        alpha = max(abs(p) for p in params)
+        if not math.isfinite(alpha * _value_bound(self.generator, ns[-1])):
+            raise ValueError(f"alpha {alpha:g} dilates the {self.generator.kind} values "
+                             f"at N={ns[-1]} past the float64 range")
         object.__setattr__(self, "n_schedule", ns)
         object.__setattr__(self, "windows", tuple(self.windows))
         if not self.windows:

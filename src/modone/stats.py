@@ -35,10 +35,66 @@ def check_pair_window(s: float, n: int) -> None:
         raise ValueError("window s/N must be smaller than half the circle")
 
 
+def _rank(y2: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(y2, v, side) for the sorted y2 = [y, y + 1] of N points
+    and one query v[i] per anchor i, fast when most ranks lie near i.
+
+    The rank starts at i. Forward pass k adds y2[i + k] < v[i] (<= for side
+    "right") and backward pass k subtracts y2[i - k] >= v[i] (> for "right").
+    As y2 is sorted, each anchor's mask holds for a prefix of its passes, so
+    the sum is the exact rank, decided by the comparisons a binary search
+    makes, over contiguous slices and without a branch per anchor. A
+    direction stops after ceil(log2 2N) passes, or once fewer than
+    N / ceil(log2 2N) anchors still move; those anchors (queries wrapped
+    around the circle, clusters, long runs of ties) get np.searchsorted,
+    which bounds the cost near twice that of one searchsorted.
+    """
+    n = v.size
+    passes = math.ceil(math.log2(2 * n))
+    few = n / passes
+    ahead, behind = ((np.less, np.greater_equal) if side == "left"
+                     else (np.less_equal, np.greater))
+    # one mask buffer and one int8 step per anchor (|step| <= passes <= 64)
+    # serve every pass, so no pass allocates
+    mask = np.empty(n, dtype=bool)
+    bits = mask.view(np.int8)
+    step = np.zeros(n, dtype=np.int8)
+    rest = []
+
+    def settled(m: np.ndarray, first: int, last: bool) -> bool:
+        # m[j] is anchor first + j's mask in the latest pass
+        moving = np.count_nonzero(m)
+        if moving >= few and not last:
+            return False
+        if moving:
+            rest.append(np.flatnonzero(m) + first)
+        return True
+
+    for k in range(passes):
+        ahead(y2[k:k + n], v, out=mask)
+        step += bits
+        if settled(mask, 0, k == passes - 1):
+            break
+    # anchor i runs out of backward passes at k = i, where rank 0 is exact
+    for k in range(1, min(passes, n - 1) + 1):
+        m = mask[:n - k]
+        behind(y2[:n - k], v[k:], out=m)
+        step[k:] -= bits[:n - k]
+        if settled(m, k, k == passes):
+            break
+    r = np.arange(n)
+    r += step
+    for idx in rest:
+        r[idx] = np.searchsorted(y2, v[idx], side=side)
+    return r
+
+
 def pair_correlation_count(pts: TorusPoints, s: float) -> int:
     """#{ordered pairs m != n with circle distance |x_m - x_n| < s/N}.
 
-    Sorted sliding window over the extended circle, O(N log N).
+    One rank over the extended circle (`_rank`): about as many whole-array
+    passes as a typical point has neighbours within s/N, in place of a binary
+    search per point.
     """
     n = pts.n
     check_pair_window(s, n)
@@ -46,7 +102,7 @@ def pair_correlation_count(pts: TorusPoints, s: float) -> int:
     y2 = np.concatenate([y, y + 1.0])
     # for each i, forward neighbours j with y2[j] - y[i] < s/N; each unordered
     # pair is seen exactly once because s/N < 1/2
-    hi = np.searchsorted(y2, y + s / n, side="left")
+    hi = _rank(y2, y + s / n, "left")
     return 2 * int(np.sum(np.maximum(hi - np.arange(1, n + 1), 0)))
 
 
@@ -125,8 +181,8 @@ def _arc_counts(y2: np.ndarray, lo: float, hi: float, n: int):
     that range holds the anchor itself (as i or i + N)."""
     y = y2[:n]
     start = np.mod(y - hi / n, 1.0)
-    lo_idx = np.searchsorted(y2, start, side="right")
-    hi_idx = np.searchsorted(y2, start + (hi - lo) / n, side="right")
+    lo_idx = _rank(y2, start, "right")
+    hi_idx = _rank(y2, start + (hi - lo) / n, "right")
     i = np.arange(n)
     hit = ((lo_idx <= i) & (i < hi_idx)) | ((lo_idx <= i + n) & (i + n < hi_idx))
     return lo_idx, hi_idx, hit
@@ -170,7 +226,9 @@ def k_level_correlation(pts: TorusPoints, window: CorrelationWindow) -> float:
     with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!; that is c_1 for k = 2 and
     c_1 c_2 - c_12 for k = 3.
 
-    Cost: one searchsorted pair over the N anchors per distinct interval,
+    Cost: two ranks (`_rank`) over the N anchors per distinct interval, each
+    about as many whole-array passes as points lie between a typical anchor
+    and its window end,
     plus Bell(k-1) vectorized products (1, 2, 5, 15, 52 for k = 2..6);
     c_B is computed once per distinct set of intervals in B.
     """
@@ -228,20 +286,28 @@ class DiscrepancyProfile:
 
 
 def _geometric_grid(n: int, ratio: float) -> np.ndarray:
+    """The distinct ceil(x) <= n along x = 1, x *= ratio, ..., then n."""
     if not (math.isfinite(ratio) and ratio > 1.0):
         raise ValueError(f"need a finite grid ratio > 1, got {ratio}")
-    pts = []
+    if ratio <= 1.0 + 1.0 / n:
+        # x * ratio <= x + 1 while x <= n, so no integer is skipped; x * ratio
+        # can also round back to x and stall before reaching n
+        return np.arange(1, n + 1, dtype=np.int64)
+    # multiply.accumulate rounds each product in turn, as x *= ratio does;
+    # one block of about log n / log ratio products passes n unless rounding
+    # leaves it short, and products past n, infinite ones included, are dropped
+    length = min(int(math.log(n) / math.log(ratio)) + 2, 1 << 16)
+    sizes = []
     x = 1.0
-    while True:
-        v = int(math.ceil(x))
-        if v > n:
-            break
-        if not pts or v != pts[-1]:
-            pts.append(v)
-        x *= ratio
-    if pts[-1] != n:
-        pts.append(n)
-    return np.asarray(pts, dtype=np.int64)
+    while x <= n:
+        block = np.full(length, ratio)
+        block[0] = x
+        with np.errstate(over="ignore"):
+            xs = np.multiply.accumulate(block)
+        sizes.append(np.ceil(xs[xs <= n]))
+        x = float(xs[-1]) * ratio
+    grid = np.unique(np.concatenate(sizes)).astype(np.int64)
+    return grid if grid[-1] == n else np.append(grid, n)
 
 
 def discrepancy_profile(seq: RealSequence, grid: str = "full",
@@ -315,34 +381,74 @@ def _close_count(queries: np.ndarray, sums: np.ndarray, gamma: float) -> int:
     return count
 
 
+def _sums_in(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The off-diagonal sums x_a + x_b (a < b) of the sorted x that lie in
+    [lo, hi), sorted. Per row a they form one range of b, found with a margin
+    of a few ulps; the sorted sums are then cut at lo and hi themselves."""
+    n = x.size
+    scale = 2.0 * max(abs(float(x[0])), abs(float(x[-1])))
+    scale += max((abs(v) for v in (lo, hi) if math.isfinite(v)), default=0.0)
+    margin = 8.0 * float(np.spacing(scale))
+    first = np.maximum(np.searchsorted(x, lo - x - margin, side="left"), np.arange(1, n + 1))
+    length = np.maximum(np.searchsorted(x, hi - x + margin, side="right") - first, 0)
+    cols = np.repeat(first - (np.cumsum(length) - length), length)
+    cols += np.arange(cols.size)
+    sums = np.repeat(x, length)
+    sums += x[cols]
+    del cols
+    sums.sort()
+    return sums[np.searchsorted(sums, lo, side="left"):np.searchsorted(sums, hi, side="left")]
+
+
+def _slab_bounds(x: np.ndarray, slabs: int) -> list:
+    """Increasing cut points from -inf to inf that split the off-diagonal
+    sums of the sorted x into about `slabs` equal parts, read off the sums
+    of a strided sample of x."""
+    if slabs <= 1:
+        return [-math.inf, math.inf]
+    s = x[::max(1, x.size // 256)]
+    sample = (s[:, None] + s[None, :])[np.triu_indices(s.size, 1)]
+    sample.sort()
+    cuts = np.unique(sample[np.arange(1, slabs) * sample.size // slabs])
+    return [-math.inf, *cuts.tolist(), math.inf]
+
+
+# the off-diagonal sums held at once by additive_energy, about 2 MB of them
+_SLAB_SUMS = 1 << 18
+
+
 def additive_energy(seq: RealSequence, gamma: float,
                     cap: int = ENERGY_DEFAULT_CAP) -> EnergyResult:
     """#{ordered quadruples (a,b,c,d) with |x_a + x_b - x_c - x_d| < gamma}.
 
-    Sorts x once and materializes only the N(N-1)/2 off-diagonal sums
-    x_a + x_b (a < b), which stand for two ordered pairs each; the diagonal
-    sums 2 x_a come out sorted. With C(P, Q) the close pairs counted for each
-    p in P among the sorted Q, E = 4 C(off, off) + 2 C(off, diag)
-    + 2 C(diag, off) + C(diag, diag). The diagonal (c,d) = (a,b) makes the
-    count at least N^2.
+    Sorts x once. The N(N-1)/2 off-diagonal sums x_a + x_b (a < b) stand for
+    two ordered pairs each; the diagonal sums 2 x_a come out sorted. With
+    C(P, Q) the close pairs counted for each p in P among the sorted Q,
+    E = 4 C(off, off) + 2 C(off, diag) + 2 C(diag, off) + C(diag, diag).
+    The off-diagonal sums are taken in value slabs [L, U) of about
+    _SLAB_SUMS each: a query p in the slab can only meet sums in
+    [L - gamma, U + gamma), which are gathered and sorted per slab, so the
+    memory stays bounded while every count is the one over all sums. The
+    diagonal (c,d) = (a,b) makes the count at least N^2.
     """
     if not gamma > 0:
         raise ValueError("need gamma > 0")
     n = seq.n
     if n > cap:
         raise ValueError(
-            f"additive_energy holds the N(N-1)/2 off-diagonal pairwise sums in memory; "
-            f"N={n} exceeds the cap {cap} (pass a larger cap explicitly to override)")
+            f"additive_energy takes time of order N^2 log N; N={n} exceeds the cap "
+            f"{cap} (pass a larger cap explicitly to override)")
     x = np.sort(seq.values)
     diag = x + x
-    off = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    row = 0
-    for a in range(n - 1):
-        np.add(x[a], x[a + 1:], out=off[row : row + n - 1 - a])
-        row += n - 1 - a
-    off.sort()
-    count = (4 * _close_count(off, off, gamma) + 2 * _close_count(off, diag, gamma)
-             + 2 * _close_count(diag, off, gamma) + _close_count(diag, diag, gamma))
+    count = _close_count(diag, diag, gamma)
+    bounds = _slab_bounds(x, -(-(n * (n - 1) // 2) // _SLAB_SUMS))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        near = _sums_in(x, lo - gamma, hi + gamma)
+        own = near[np.searchsorted(near, lo, side="left"):np.searchsorted(near, hi, side="left")]
+        own_diag = diag[np.searchsorted(diag, lo, side="left"):
+                        np.searchsorted(diag, hi, side="left")]
+        count += (4 * _close_count(own, near, gamma) + 2 * _close_count(own, diag, gamma)
+                  + 2 * _close_count(own_diag, near, gamma))
     return EnergyResult(count=count, gamma=float(gamma), n=n)
 
 

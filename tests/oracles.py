@@ -2,6 +2,8 @@
 the definitions (full enumeration, quadrature) and stays separate from the
 library's algorithmic paths."""
 
+import math
+
 import numpy as np
 
 
@@ -43,6 +45,23 @@ def brute_k_level_count(points, window):
         return total
 
     return sum(rec(a1, (), 0) for a1 in range(n))
+
+
+def geometric_grid_loop(n, ratio):
+    """The geometric profile grid by its defining loop: the distinct
+    ceil(x) <= n along x = 1, x *= ratio, ..., then n itself."""
+    pts = []
+    x = 1.0
+    while True:
+        v = int(math.ceil(x))
+        if v > n:
+            break
+        if not pts or v != pts[-1]:
+            pts.append(v)
+        x *= ratio
+    if pts[-1] != n:
+        pts.append(n)
+    return np.asarray(pts, dtype=np.int64)
 
 
 def brute_energy_count(values, gamma):

@@ -1,6 +1,7 @@
 import importlib
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,10 @@ def test_exit_code_validation_errors(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and err.count("\n") == 1, argv
         assert err.startswith("modone: error:") and needle in err, argv
+    # a ratio barely above 1 gives every size; the grid loop once stalled on it
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *gcond, "--n", "100", "--ratio", "1.0000000000000002")
+    assert code == 0 and out and time.perf_counter() - start < 1.0
 
 
 def test_stat_rejects_non_finite_points(tmp_path, capsys):
@@ -362,6 +367,8 @@ def test_config_requires_master_seed(tmp_path, capsys):
      "table widths must be finite"),
     ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "table", "values": [0.1]}},
      "index beyond the table of length 1"),
+    ("alpha_mode", {"fixed": 1e308}, "alpha 1e+308 dilates the theorem1 values at N=100"),
+    ("generator", {"kind": "power", "theta": 200.0}, "the power values at N=100"),
 ])
 def test_exp_rejects_bad_plans_before_any_trial(tmp_path, capsys, field, value, needle):
     plan = {"generator": {"kind": "theorem1", "c": 1.0}, "n_schedule": [100],

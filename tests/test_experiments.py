@@ -46,6 +46,27 @@ def test_plan_validation():
             small_plan(**bad)
 
 
+@pytest.mark.parametrize("generator", [
+    GeneratorConfig(kind="arithmetic", alpha=GOLDEN_ALPHA),
+    GeneratorConfig(kind="power", theta=2.0),
+    GeneratorConfig(kind="theorem1", c=1.0),
+    GeneratorConfig(kind="converse", c=0.5),
+    GeneratorConfig(kind="van_der_corput", base=2, scale=ScaleFunction.constant(0.1)),
+])
+def test_plan_rejects_a_dilation_past_the_float_range(generator):
+    # a perturbed van der Corput point may reach 1 + WIDTH_CAP
+    for alpha_mode in (("fixed", 1.5e308), ("uniform", -1.5e308, 1.0)):
+        with pytest.raises(ValueError, match="alpha 1.5e\\+308 dilates .* at N=200 "):
+            small_plan(generator=generator, alpha_mode=alpha_mode)
+
+
+def test_plan_admits_a_dilation_that_stays_finite():
+    # van der Corput points lie in [0, 1), so alpha = 1.5e308 keeps them finite
+    plan = small_plan(generator=GeneratorConfig(kind="van_der_corput", base=2),
+                      alpha_mode=("fixed", 1.5e308))
+    assert run_trials(plan).means.shape == (1, 1)
+
+
 def test_plan_accepts_numpy_integers():
     plan = small_plan(trials=np.int64(2), master_seed=np.uint32(5))
     assert run_trials(plan).means.shape == (1, 1)
@@ -120,10 +141,15 @@ def test_thread_count_does_not_change_results():
     assert_array_equal(serial.values, threaded.values)
 
 
-def test_trial_errors_carry_the_trial_index():
-    # a dilation that overflows float64 fails only when a trial reduces the sequence
-    plan = small_plan(alpha_mode=("fixed", 1e308), trials=2)
-    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="trial 0"):
+def test_trial_errors_carry_the_trial_index(monkeypatch):
+    # a build that fails only once the plan is made fails inside the trial
+    plan = small_plan(trials=2)
+
+    def failing_build(self, n, seed):
+        raise ValueError("sequence values must be finite")
+
+    monkeypatch.setattr(GeneratorConfig, "build", failing_build)
+    with pytest.raises(RuntimeError, match="trial 0"):
         run_trials(plan)
 
 

@@ -11,9 +11,11 @@ from modone import (CorrelationWindow, RealSequence, TorusPoints,
                     frac_reduce, gap_distribution, k_level_correlation,
                     pair_correlation, pair_correlation_count)
 from modone.generators import GOLDEN_ALPHA, arithmetic_sequence
+from modone import stats as stats_module
+from modone.stats import _geometric_grid, _rank, _sums_in
 
 from oracles import (brute_discrepancy, brute_energy_count, brute_k_level_count,
-                     brute_pair_count, brute_star_discrepancy)
+                     brute_pair_count, brute_star_discrepancy, geometric_grid_loop)
 
 
 def sorted_uniform(rng, n):
@@ -63,6 +65,79 @@ def test_pair_correlation_translation_invariance(rng):
     a = pair_correlation(frac_reduce(RealSequence(raw)), s)
     b = pair_correlation(frac_reduce(RealSequence(raw + 17.0)), s)
     assert a == pytest.approx(b, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the rank under both statistics
+
+
+def clustered_points(rng, n, clusters):
+    """n sorted points, each one of `clusters` centres: long runs of ties."""
+    return np.sort(rng.choice(rng.random(clusters), n))
+
+
+@st.composite
+def rank_cases(draw):
+    """Sorted points with the queries the pair and k-level kernels make.
+
+    Families: coincident clusters; a dyadic lattice j/2^p, where windows of
+    t/2^p land exactly on points; points within the window of 0 and of 1;
+    and uniform points. Windows: a pair window s/N (s below one ulp of the
+    points, or on the lattice), and k-level arcs, including [5, 6) and
+    [-7, -6), away from 0."""
+    family = draw(st.sampled_from(["clusters", "lattice", "ends", "uniform"]))
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**32))))
+    n = draw(st.integers(min_value=1, max_value=400))
+    if family == "clusters":
+        y = clustered_points(rng, n, draw(st.integers(min_value=1, max_value=6)))
+    elif family == "lattice":
+        p = draw(st.integers(min_value=0, max_value=10))
+        y = np.sort(rng.integers(0, 2**p, n)) / 2**p
+    elif family == "ends":
+        near = min(8.0 / n, 0.25) * rng.random(n)
+        y = np.sort(np.where(rng.random(n) < 0.5, near, 1.0 - near - 2**-53))
+    else:
+        y = np.sort(rng.random(n))
+    lattice_t = draw(st.integers(min_value=1, max_value=4))
+    s = draw(st.sampled_from([1e-300, 1e-17 * n, n * lattice_t / 2**10, 0.5, 1.0, 2.0]))
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (5.0, 6.0), (-7.0, -6.0),
+                                   (-s, s), (0.0, s)]))
+    start = np.mod(y - hi / n, 1.0)
+    queries = [y + s / n, start, start + (hi - lo) / n]
+    return y, queries
+
+
+@given(rank_cases())
+@settings(max_examples=300, deadline=None)
+def test_rank_equals_searchsorted(case):
+    y, queries = case
+    y2 = np.concatenate([y, y + 1.0])
+    for v in queries:
+        for side in ("left", "right"):
+            assert_array_equal(_rank(y2, v, side), np.searchsorted(y2, v, side=side))
+
+
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32),
+       st.integers(min_value=1, max_value=5), st.sampled_from([0.3, 1.0, 2.5]))
+@settings(max_examples=60, deadline=None)
+def test_pair_and_k_level_match_brute_force_on_clusters(n, key, clusters, s):
+    pts = TorusPoints(clustered_points(np.random.Generator(np.random.Philox(key=key)),
+                                       n, clusters))
+    s = min(s, 0.2 * n)   # 2s/N stays below half the circle
+    assert pair_correlation_count(pts, s) == brute_pair_count(pts.points, s)
+    for w in (CorrelationWindow(k=2, intervals=((-s, s),)),
+              CorrelationWindow(k=3, intervals=((-s, s), (0.1, s + 0.1)))):
+        if n >= w.k:
+            assert round(k_level_correlation(pts, w) * n) == brute_k_level_count(pts.points, w)
+
+
+@pytest.mark.xfail(strict=True, reason="the pulled-back arc ends at start + (hi - lo)/N, "
+                   "which can round below the anchor when lo = 0, so coincident points "
+                   "at difference 0 drop out of [0, hi)")
+def test_k_level_counts_coincident_points_at_a_window_edge():
+    y = np.full(2, 0.011546754286331562)
+    w = CorrelationWindow(k=2, intervals=((0.0, 0.3),))
+    assert round(k_level_correlation(TorusPoints(y), w) * 2) == brute_k_level_count(y, w) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +333,21 @@ def test_full_profile_equals_discrepancy_of_each_prefix(values):
     assert_array_equal(prof.star_values, [s for _, s in prefixes])
 
 
+@pytest.mark.parametrize("ratio", [1.001, 1.06, 1.25, 2.0, 10.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1000, 12_345, 100_000])
+def test_geometric_grid_equals_its_loop(n, ratio):
+    assert_array_equal(_geometric_grid(n, ratio), geometric_grid_loop(n, ratio))
+
+
+@pytest.mark.parametrize("n, ratio", [(100, 1.005), (1000, 1.0005), (40, 1.025)])
+def test_geometric_grid_of_a_ratio_near_one_is_every_size(n, ratio):
+    # ratio <= 1 + 1/N, where the loop still ends
+    assert_array_equal(geometric_grid_loop(n, ratio), np.arange(1, n + 1))
+    assert_array_equal(_geometric_grid(n, ratio), np.arange(1, n + 1))
+    # a ratio whose products round back to x stalls the loop, not the grid
+    assert_array_equal(_geometric_grid(n, 1.0 + 2**-52), np.arange(1, n + 1))
+
+
 def test_discrepancy_profile_validation():
     with pytest.raises(ValueError):
         discrepancy_profile(arithmetic_sequence(1.0, 5), grid="bogus")
@@ -293,13 +383,30 @@ def test_energy_matches_brute_force(n, key, gamma):
 
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=25),
        st.sampled_from([1.0, 0.25, 0.125]), st.integers(min_value=1, max_value=6),
-       st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_energy_tie_heavy_matches_brute_force(ints, step, m, on_lattice):
-    # repeated lattice values make many sum differences land exactly on gamma
+       st.booleans(), st.sampled_from([1, 2, 5, 40, 1 << 18]))
+@settings(max_examples=80, deadline=None)
+def test_energy_tie_heavy_matches_brute_force(ints, step, m, on_lattice, slab):
+    # repeated lattice values make many sum differences land exactly on gamma,
+    # and slabs of a few sums put their cut points on tied sums
     values = np.array(ints, dtype=np.float64) * step
     gamma = (m if on_lattice else m - 0.5) * step
-    assert additive_energy(RealSequence(values), gamma).count == brute_energy_count(values, gamma)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats_module, "_SLAB_SUMS", slab)
+        assert (additive_energy(RealSequence(values), gamma).count
+                == brute_energy_count(values, gamma))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=60), min_size=2, max_size=30),
+       st.sampled_from([0.1, 0.3, 1.0 / 3.0]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sums_in_a_range_are_the_computed_sums(ints, step, data):
+    # sums of decimal steps round, so x_b >= lo - x_a and x_a + x_b >= lo can
+    # disagree; the slab takes the sums as computed
+    x = np.sort(np.array(ints, dtype=np.float64) * step)
+    sums = np.sort([x[a] + x[b] for a in range(x.size) for b in range(a + 1, x.size)])
+    ends = [-np.inf, np.inf, *sums, *np.nextafter(sums, np.inf), *np.nextafter(sums, -np.inf)]
+    lo, hi = sorted([data.draw(st.sampled_from(ends)), data.draw(st.sampled_from(ends))])
+    assert_array_equal(_sums_in(x, lo, hi), sums[(sums >= lo) & (sums < hi)])
 
 
 def test_energy_monotone_in_gamma(rng):
