@@ -24,7 +24,10 @@ searchsorted lookups into cumulative sums. Level tables sort all 2N
 breakpoints together and give the value on each segment between them; an
 integer cover count is carried next to each float level, so the level is
 exactly 0.0 wherever no arc covers. Every function evaluates its query points
-from these tables at O((N + M) log N) cost for M queries.
+from these tables at O((N + M) log N) cost for M queries. h_s is the
+difference of the table's integral at the two window ends, and the pair
+integral sums rho * h_s over the segments of the same table, with one exact
+correction for each bend of h_s inside a segment.
 """
 
 from __future__ import annotations
@@ -51,17 +54,6 @@ def _arcs(centers, widths):
     return frac_part(centers - widths), frac_part(centers + widths)
 
 
-def _breakpoints(start, end, weights):
-    """Breakpoints of f = sum_n weights_n 1_{[start_n, end_n]}: their
-    positions, the change of f and of the cover count at each, and f and the
-    cover count at 0 (carried by the wrapping arcs)."""
-    wrapped = end < start
-    ones = np.ones(start.size, dtype=np.int64)
-    return (np.concatenate([start, end]), np.concatenate([weights, -weights]),
-            np.concatenate([ones, -ones]), float(np.sum(weights[wrapped])),
-            int(np.count_nonzero(wrapped)))
-
-
 def _running(first, steps):
     """Value on each segment: `first` before the first breakpoint, then the
     cumulative sum of the sorted steps."""
@@ -71,11 +63,16 @@ def _running(first, steps):
 def _level_table(centers, widths, weights):
     """Segments of f = sum_n weights_n 1_{A_n} on [0, 1): left edges (the
     first is 0), the value of f on each segment (0.0 where no arc covers),
-    and each segment's length."""
-    pos, step, cover_step, f0, cover0 = _breakpoints(*_arcs(centers, widths), weights)
+    and each segment's length. The wrapping arcs carry f and the cover count
+    at 0; each arc steps them up at its start and down at its end."""
+    start, end = _arcs(centers, widths)
+    wrapped = end < start
+    pos = np.concatenate([start, end])
     order = np.argsort(pos, kind="stable")
-    level = _running(f0, step[order])
-    level[_running(cover0, cover_step[order]) == 0] = 0.0
+    level = _running(float(np.sum(weights[wrapped])),
+                     np.concatenate([weights, -weights])[order])
+    cover = _running(int(np.count_nonzero(wrapped)), np.where(order < start.size, 1, -1))
+    level[cover == 0] = 0.0
     edges = np.concatenate([[0.0], pos[order]])
     return edges, level, np.diff(np.append(edges, 1.0))
 
@@ -87,6 +84,12 @@ def _integral(edges, level, lens, t):
     u = t - turns
     k = np.searchsorted(edges, u, side="right") - 1
     return turns * cumulative[-1] + cumulative[k] + level[k] * (u - edges[k])
+
+
+def _window_mass(table, xs, w):
+    """R(x + w) - R(x - w) for the periodic integral R of a level table."""
+    # the exact value is >= 0; clamp the rounding residue of the difference
+    return np.maximum(_integral(*table, xs + w) - _integral(*table, xs - w), 0.0)
 
 
 def perturbation_density(base: RealSequence, scale: ScaleFunction, x) -> np.ndarray | float:
@@ -121,9 +124,7 @@ def expected_window_count(base: RealSequence, scale: ScaleFunction,
     w = s / n
     centers, widths = _boxes(base, scale)
     table = _level_table(centers, widths, 1.0 / (2.0 * widths))
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    # the exact value is >= 0; clamp the rounding residue of the difference
-    out = np.maximum(_integral(*table, xs + w) - _integral(*table, xs - w), 0.0)
+    out = _window_mass(table, np.atleast_1d(np.asarray(x, dtype=np.float64)), w)
     if np.ndim(x) == 0:
         return float(out[0])
     return out
@@ -148,44 +149,29 @@ def expected_pair_correlation(base: RealSequence, scale: ScaleFunction,
     s/(N g(N)) on the self-pair correction that separates this integral from
     the true expectation of the pair statistic.
 
-    rho is piecewise constant and h_s continuous piecewise linear with slope
-    sum_n (1_{A_n - w} - 1_{A_n + w}) / (2 g(n)), w = s/N. Sorting the 6N
-    breakpoints of rho and of the slope together gives both on every segment
-    by cumulative sums, h_s at the segment edges by the cumulative sum of
-    slope * length, and the integral as the sum of rho * (h_left + h_right)/2
-    * length over the segments.
+    One level table of N rho = sum_n 1_{A_n} / (2 g(n)) gives rho on each
+    segment and h_s = R(x + w) - R(x - w), w = s/N, at the segment edges.
+    h_s is piecewise linear and bends where x + w or x - w crosses an edge,
+    by the jump of N rho there (negated for x - w). On a segment [a, b) the
+    integral of h_s is the trapezoid (b - a)(h(a) + h(b))/2 less
+    delta (b - p)(p - a)/2 for each bend of delta at p inside, so the
+    integral is a sum over the segments and the bends, each bend placed by
+    one searchsorted lookup.
     """
     n = base.n
     check_pair_window(s, n)
     w = s / n
     centers, widths = _boxes(base, scale)
-    rates = 1.0 / (2.0 * widths)
-    start, end = _arcs(centers, widths)
-    rho_pos, rho_step, cover_step, rho0, cover0 = _breakpoints(
-        start, end, 1.0 / (2.0 * widths * n))
-    # the slope gains rate_n while x + w lies in A_n and loses it while x - w does
-    up_pos, up_step, _, up0, _ = _breakpoints(
-        frac_part(start - w), frac_part(end - w), rates)
-    down_pos, down_step, _, down0, _ = _breakpoints(
-        frac_part(start + w), frac_part(end + w), -rates)
-    # in the order that sorts rho's breakpoints, the slope's are rotated
-    # sorted runs, so the stable sort of all of them merges a few runs
-    first = np.argsort(rho_pos, kind="stable")
-    order = np.concatenate([first, first + 2 * n, first + 4 * n])
-    pos = np.concatenate([rho_pos, up_pos, down_pos])
-    order = order[np.argsort(pos[order], kind="stable")]
-    none = np.zeros(4 * n, dtype=np.int64)
-    rho = _running(rho0, np.concatenate([rho_step, none])[order])
-    rho[_running(cover0, np.concatenate([cover_step, none])[order]) == 0] = 0.0
-    slope = _running(up0 + down0, np.concatenate([np.zeros(2 * n), up_step, down_step])[order])
-
-    edges = np.concatenate([[0.0], pos[order]])
-    lens = np.diff(np.append(edges, 1.0))
-    # h is continuous: h(0) = N times the integral of rho over [-w, w]
-    h0 = n * float(np.diff(_integral(edges, rho, lens, np.array([-w, w])))[0])
-    h = _running(h0, slope * lens)
-    integral = float(np.sum(rho * 0.5 * (h[:-1] + h[1:]) * lens))
+    table = _level_table(centers, widths, 1.0 / (2.0 * widths))
+    edges, level, lens = table
+    h = _window_mass(table, np.append(edges, 1.0), w)
+    total = float(np.sum(level * 0.5 * (h[:-1] + h[1:]) * lens))
+    ends = np.append(edges[1:], 1.0)
+    jump = level - np.roll(level, 1)
+    for bend, delta in ((frac_part(edges - w), jump), (frac_part(edges + w), -jump)):
+        j = np.searchsorted(edges, bend, side="right") - 1
+        total -= 0.5 * float(np.sum(level[j] * delta * (ends[j] - bend) * (bend - edges[j])))
 
     g_n = float(scale.eval(n))
     error_bound = s / (n * g_n)
-    return integral, error_bound
+    return total / n, error_bound

@@ -264,11 +264,11 @@ def check_g_conditions(scale: ScaleFunction,
                          "than two sizes to fit the trend slopes on")
     d = profile.d_values
     m_run = profile.running_max_nd()
-    g = np.array([scale.eval_real(x) for x in n])
+    g = scale.eval(n)
     traj1 = g / d
     traj2 = n * g
     stretched = n * (1.0 + m_run / (n * g))
-    traj3 = np.array([scale.eval_real(x) for x in stretched]) / g
+    traj3 = scale.eval(stretched) / g
 
     logn = np.log(n[top])
     slope1 = float(np.polyfit(logn, np.log(traj1[top]), 1)[0])

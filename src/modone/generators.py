@@ -31,8 +31,8 @@ class ScaleFunction:
       constant:  g(n) = g0
       table:     g(n) = table[n-1]  (explicit per-index widths)
 
-    Evaluation clamps the index of the formula families at DEFAULT_N_MIN and
-    caps the value at WIDTH_CAP.
+    Evaluation takes real n >= 1, clamps it at DEFAULT_N_MIN for the formula
+    families and caps the value at WIDTH_CAP.
     """
 
     family: str
@@ -79,31 +79,25 @@ class ScaleFunction:
         raise ValueError(f"unknown scale family {self.family!r}")
 
     def eval(self, n) -> np.ndarray | float:
-        """g evaluated at natural indices (vectorized); caps and clamps applied."""
-        idx = np.asarray(n)
-        if np.any(idx < 1):
+        """g at real arguments n >= 1 (vectorized), capped at WIDTH_CAP. The
+        formula families clamp n at DEFAULT_N_MIN; a table rounds n half to
+        even to the nearest index, which must lie in the table."""
+        x = np.asarray(n, dtype=np.float64)
+        if np.any(x < 1):
             raise ValueError("scale function indices start at 1")
         if self.family == "table":
             assert self.values is not None
-            if np.any(idx > len(self.values)):
+            idx = np.rint(x)
+            if not np.all(idx <= len(self.values)):
                 raise ValueError("index beyond the"
                                  f" table of length {len(self.values)}")
-            out = np.asarray(self.values, dtype=np.float64)[idx - 1]
+            out = np.asarray(self.values, dtype=np.float64)[idx.astype(np.int64) - 1]
         else:
-            clamped = np.maximum(np.asarray(idx, dtype=np.float64), float(DEFAULT_N_MIN))
-            out = self._formula(clamped)
+            out = self._formula(np.maximum(x, float(DEFAULT_N_MIN)))
         out = np.minimum(out, WIDTH_CAP)
         if np.ndim(n) == 0:
             return float(out)
         return out
-
-    def eval_real(self, x: float) -> float:
-        """Formula families extended to real arguments >= 1 (used by the
-        regularity-condition checker); table rounds to the nearest index."""
-        if self.family == "table":
-            return float(self.eval(int(round(x))))
-        xc = max(float(x), float(DEFAULT_N_MIN))
-        return float(min(self._formula(np.asarray(xc)), WIDTH_CAP))
 
 
 # The parameter of each width family; the family's constructor carries its name.

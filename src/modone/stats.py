@@ -20,8 +20,6 @@ import numpy as np
 from .seqcore import (RealSequence, TorusPoints, _is_int, _is_real, frac_part,
                       frac_reduce, scale_by_alpha)
 
-ENERGY_DEFAULT_CAP = 8192
-
 
 # ---------------------------------------------------------------------------
 # pair correlation
@@ -178,11 +176,23 @@ def _arc_counts(y2: np.ndarray, lo: float, hi: float, n: int):
     """Per anchor y[i], the index range [lo_idx, hi_idx) into y2 = [y, y + 1]
     of the points in the half-open difference window [lo/N, hi/N) pulled back
     around it, x in (y[i] - hi/N, y[i] - lo/N] on the circle, and whether
-    that range holds the anchor itself (as i or i + N)."""
+    that range holds the anchor itself (as i or i + N).
+
+    Both ends are y - c/N plus the one integer per anchor that lifts the
+    lower end into [0, 1). So the upper end is the anchor itself in y2 when
+    lo = 0, and points coincident with it stay in [0, hi)."""
     y = y2[:n]
-    start = np.mod(y - hi / n, 1.0)
-    lo_idx = _rank(y2, start, "right")
-    hi_idx = _rank(y2, start + (hi - lo) / n, "right")
+    end = y - hi / n
+    # y is sorted, so the lift is -turns before `cut` and -(turns + 1) from it
+    turns = math.floor(end[0])
+    cut = int(np.searchsorted(end, turns + 1.0, side="left"))
+    ranks = []
+    for c in (hi, lo):   # one buffer serves both ends
+        np.subtract(y, c / n, out=end)
+        end[:cut] -= turns
+        end[cut:] -= turns + 1
+        ranks.append(_rank(y2, end, "right"))
+    lo_idx, hi_idx = ranks
     i = np.arange(n)
     hit = ((lo_idx <= i) & (i < hi_idx)) | ((lo_idx <= i + n) & (i + n < hi_idx))
     return lo_idx, hi_idx, hit
@@ -417,8 +427,7 @@ def _slab_bounds(x: np.ndarray, slabs: int) -> list:
 _SLAB_SUMS = 1 << 18
 
 
-def additive_energy(seq: RealSequence, gamma: float,
-                    cap: int = ENERGY_DEFAULT_CAP) -> EnergyResult:
+def additive_energy(seq: RealSequence, gamma: float) -> EnergyResult:
     """#{ordered quadruples (a,b,c,d) with |x_a + x_b - x_c - x_d| < gamma}.
 
     Sorts x once. The N(N-1)/2 off-diagonal sums x_a + x_b (a < b) stand for
@@ -434,10 +443,6 @@ def additive_energy(seq: RealSequence, gamma: float,
     if not gamma > 0:
         raise ValueError("need gamma > 0")
     n = seq.n
-    if n > cap:
-        raise ValueError(
-            f"additive_energy takes time of order N^2 log N; N={n} exceeds the cap "
-            f"{cap} (pass a larger cap explicitly to override)")
     x = np.sort(seq.values)
     diag = x + x
     count = _close_count(diag, diag, gamma)

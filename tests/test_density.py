@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modone import (RealSequence, ScaleFunction, density_l2,
-                    expected_pair_correlation, expected_window_count,
+from modone import (RealSequence, ScaleFunction, arithmetic_sequence,
+                    density_l2, expected_pair_correlation, expected_window_count,
                     frac_reduce, pair_correlation, perturb,
                     perturbation_density, sweep_density_integrals)
 
@@ -237,6 +237,27 @@ def test_expected_pair_tiny_widths_reduce_to_deterministic_counts(rng):
     x_det = pair_correlation(frac_reduce(base), s)
     assert value == pytest.approx(x_det + 1.0, abs=1e-6)
     assert bound == pytest.approx(s / (n * 1e-9))
+
+
+# fixed points computed by an independent exact sweep over the merged 6N
+# breakpoints of rho and of the slope of h_s: a lattice with random widths,
+# the criterion-06 base (2 alpha) n with widths alpha * beck(1), and
+# near-zero widths
+def pinned_pair_configs():
+    widths = 0.005 + 0.05 * np.random.Generator(np.random.Philox(key=7)).random(64)
+    yield (RealSequence(np.arange(64) / 64.0 * 3.0), ScaleFunction.table(widths), 0.75,
+           1.569914321755498)
+    alpha, n = 1.4142135623730951, 10_000
+    beck = np.asarray(ScaleFunction.beck(1.0).eval(np.arange(1, n + 1)))
+    yield (arithmetic_sequence(2.0 * alpha, n), ScaleFunction.table(alpha * beck), 1.0,
+           2.00014887368713)
+    points = np.sort(np.random.Generator(np.random.Philox(key=11)).random(50))
+    yield RealSequence(points), ScaleFunction.constant(1e-9), 1.0, 2.7599999893229556
+
+
+def test_expected_pair_pinned_values():
+    for base, g, s, want in pinned_pair_configs():
+        assert expected_pair_correlation(base, g, s)[0] == pytest.approx(want, rel=1e-9)
 
 
 def test_expected_pair_window_validation():

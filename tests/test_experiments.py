@@ -309,12 +309,10 @@ def test_density_l2_stays_concentrated_for_converse_orbit():
 
 
 def test_wellspaced_energy_at_ten_thousand():
-    # the in-memory cap is below this size on purpose; overriding it keeps
-    # the N^2 sums array around 800 MB
     from modone import additive_energy, gen_theorem1
 
     n = 10_000
     seq = gen_theorem1(1.0, n, 7)
     g_n = float(ScaleFunction.beck(1.0).eval(n))
-    res = additive_energy(seq, 10.0 * g_n, cap=10_000)
+    res = additive_energy(seq, 10.0 * g_n)
     assert res.normalized >= 1.0 / 50.0

@@ -37,6 +37,12 @@ def test_clamp_below_n_min():
     g = ScaleFunction.beck(1.0)
     assert g.eval(3) == g.eval(16)
     assert g.eval(15) == g.eval(16)
+    # real arguments clamp the same way, and past the clamp follow the formula
+    assert g.eval(15.5) == g.eval(16)
+    reals = np.array([1.0, 2.5, 15.5, 16.0, 100.25])
+    ln = np.log(100.25)
+    assert_allclose(g.eval(reals), [g.eval(16)] * 4 + [ln * np.log(ln) ** 2 / 100.25],
+                    rtol=1e-15)
 
 
 def test_width_cap_binds_for_degenerate_parameters():
@@ -49,8 +55,15 @@ def test_table_family_and_range_error():
     g = ScaleFunction.table([0.1, 0.2, 0.3])
     assert g.eval(2) == 0.2
     assert_allclose(g.eval(np.array([1, 3])), [0.1, 0.3])
+    # real arguments round half to even to the nearest index
+    assert g.eval(2.4) == 0.2
+    assert g.eval(2.5) == 0.2
+    assert g.eval(2.6) == 0.3
+    assert_array_equal(g.eval(np.array([1.4, 3.4])), [0.1, 0.3])
     with pytest.raises(ValueError):
         g.eval(4)
+    with pytest.raises(ValueError):
+        g.eval(3.5)    # beyond the table only once rounded to 4
 
 
 def test_families_monotone_non_increasing_in_tail():
