@@ -41,7 +41,8 @@ def _build_parser() -> _Parser:
     g.add_argument("--c", type=float, help="width parameter for theorem1/converse")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, help="required for the perturbed kinds")
-    g.add_argument("--out", required=True)
+    g.add_argument("--out", dest="points", required=True)
+    g.set_defaults(run=_cmd_gen)
 
     s = sub.add_parser("stat", help="compute statistics of a points file")
     s.add_argument("--in", dest="infile", required=True)
@@ -58,12 +59,14 @@ def _build_parser() -> _Parser:
     s.add_argument("--gaps", action="store_true", help="gap distribution KS statistic")
     s.add_argument("--no-timing", action="store_true")
     s.add_argument("--out", help="write records here instead of stdout")
+    s.set_defaults(run=_cmd_stat)
 
     e = sub.add_parser("exp", help="run a trial plan from a config file")
     e.add_argument("--config", required=True)
     e.add_argument("--threads", type=int, default=1)
     e.add_argument("--no-timing", action="store_true")
     e.add_argument("--out", help="write records here instead of stdout")
+    e.set_defaults(run=_cmd_exp)
 
     c = sub.add_parser("check", help="width-condition report or energy certificate")
     c.add_argument("--what", required=True, choices=["gcond", "energy"])
@@ -81,19 +84,27 @@ def _build_parser() -> _Parser:
     c.add_argument("--gamma", type=float)
     c.add_argument("--no-timing", action="store_true")
     c.add_argument("--out", help="write records here instead of stdout")
+    c.set_defaults(run=_cmd_check)
     return p
 
 
-def _emit(records, args, command: str) -> None:
+def _emit(records, args) -> None:
     include_timing = not getattr(args, "no_timing", False)
-    lines = [r.to_json_line(include_timing=include_timing) for r in records]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    out = getattr(args, "out", None)
-    if out and command != "gen":
-        with open(out, "w", encoding="ascii") as f:
+    text = "".join(r.to_json_line(include_timing=include_timing) + "\n" for r in records)
+    if getattr(args, "out", None):
+        with open(args.out, "w", encoding="ascii") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _timed(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), its wall time in ms). Callers pass the library
+    function as named in this module at call time, so a name swapped on the
+    module is the one that runs."""
+    t0 = time.perf_counter()
+    value = fn(*args, **kwargs)
+    return value, (time.perf_counter() - t0) * 1e3
 
 
 def _generator(args) -> GeneratorConfig:
@@ -105,7 +116,7 @@ def _cmd_gen(args) -> list:
     if args.kind not in _BASE_PARAMETER and args.seed is None:
         raise _CliError(f"--kind {args.kind} requires --seed")
     seq = _generator(args).build(args.n, args.seed or 0)
-    mio.write_points(args.out, seq.values)
+    mio.write_points(args.points, seq.values)
     return []
 
 
@@ -120,65 +131,51 @@ def _parse_windows(text: str, k: int) -> CorrelationWindow:
 
 
 def _cmd_stat(args) -> list:
-    values = mio.read_points(args.infile)
-    seq = RealSequence(values)
+    if not (args.ppc or args.klevel or args.disc or args.profile or args.energy or args.gaps):
+        raise _CliError("stat: select at least one of --ppc/--klevel/--disc/--profile/--energy/--gaps")
+    if args.klevel and not args.windows:
+        raise _CliError("--klevel requires --windows")
+    window = _parse_windows(args.windows, args.k) if args.klevel else None
+    if args.energy and args.gamma is None:
+        raise _CliError("--energy requires --gamma")
+    seq = RealSequence(mio.read_points(args.infile))
     pts = frac_reduce(seq)
     records = []
-    any_stat = False
 
-    def record(statistic, value, window=None, t0=None):
-        records.append(mio.ResultRecord(
-            command="stat", statistic=statistic, value=float(value), n=seq.n, window=window,
-            wall_time_ms=None if t0 is None else (time.perf_counter() - t0) * 1e3))
+    def record(statistic, value, wall_time_ms, window=None):
+        records.append(mio.ResultRecord(command="stat", statistic=statistic, value=float(value),
+                                        n=seq.n, window=window, wall_time_ms=wall_time_ms))
 
     if args.ppc:
-        any_stat = True
-        t0 = time.perf_counter()
-        v = pair_correlation(pts, args.s)
-        record("pair_correlation", v, window=f"s={args.s:g}", t0=t0)
-    if args.klevel:
-        any_stat = True
-        if not args.windows:
-            raise _CliError("--klevel requires --windows")
-        w = _parse_windows(args.windows, args.k)
-        t0 = time.perf_counter()
-        v = pair_correlation(pts, w.intervals[0][1]) if w.is_pair else k_level_correlation(pts, w)
-        record("k_level_correlation", v, window=w.describe(), t0=t0)
+        v, ms = _timed(pair_correlation, pts, args.s)
+        record("pair_correlation", v, ms, window=f"s={args.s:g}")
+    if window is not None:
+        if window.is_pair:
+            v, ms = _timed(pair_correlation, pts, window.intervals[0][1])
+        else:
+            v, ms = _timed(k_level_correlation, pts, window)
+        record("k_level_correlation", v, ms, window=window.describe())
     if args.disc:
-        any_stat = True
-        t0 = time.perf_counter()
-        d, dstar = discrepancy(pts)
-        record("discrepancy", d, t0=t0)
-        record("star_discrepancy", dstar, t0=t0)
+        (d, dstar), ms = _timed(discrepancy, pts)
+        record("discrepancy", d, ms)
+        record("star_discrepancy", dstar, ms)
     if args.profile:
-        any_stat = True
-        t0 = time.perf_counter()
-        prof = discrepancy_profile(seq, grid="full" if args.profile == "full" else "geometric")
-        record("max_n_discrepancy", prof.m_value,
-               window=f"grid={args.profile}", t0=t0)
+        prof, ms = _timed(discrepancy_profile, seq,
+                          grid="full" if args.profile == "full" else "geometric")
+        record("max_n_discrepancy", prof.m_value, ms, window=f"grid={args.profile}")
     if args.energy:
-        any_stat = True
-        if args.gamma is None:
-            raise _CliError("--energy requires --gamma")
-        t0 = time.perf_counter()
-        res = additive_energy(seq, args.gamma)
-        record("additive_energy", float(res.count), window=f"gamma={args.gamma:g}", t0=t0)
+        res, ms = _timed(additive_energy, seq, args.gamma)
+        record("additive_energy", res.count, ms, window=f"gamma={args.gamma:g}")
     if args.gaps:
-        any_stat = True
-        t0 = time.perf_counter()
-        gd = gap_distribution(pts)
-        record("gap_ks_vs_exponential", gd.ks_vs_exponential, t0=t0)
-    if not any_stat:
-        raise _CliError("stat: select at least one of --ppc/--klevel/--disc/--profile/--energy/--gaps")
+        gd, ms = _timed(gap_distribution, pts)
+        record("gap_ks_vs_exponential", gd.ks_vs_exponential, ms)
     return records
 
 
 def _cmd_exp(args) -> list:
     with open(args.config, "r", encoding="ascii") as f:
         plan = mio.plan_from_json(f.read())
-    t0 = time.perf_counter()
-    summary = run_trials(plan, threads=max(1, args.threads))
-    elapsed = (time.perf_counter() - t0) * 1e3
+    summary, elapsed = _timed(run_trials, plan, threads=max(1, args.threads))
     records = []
     for i, n in enumerate(plan.n_schedule):
         for j, w in enumerate(plan.windows):
@@ -199,11 +196,13 @@ def _cmd_check(args) -> list:
         param = _SCALE_PARAMETER[args.scale]
         scale = mio._scale_from_dict({"family": args.scale, param: getattr(args, param)})
         config = _generator(args)
-        t0 = time.perf_counter()
-        seq = config.build(args.n, 0)
-        prof = discrepancy_profile(seq, grid="geometric", ratio=args.ratio)
-        rep = check_g_conditions(scale, prof)
-        elapsed = (time.perf_counter() - t0) * 1e3
+
+        def report():
+            seq = config.build(args.n, 0)
+            return check_g_conditions(
+                scale, discrepancy_profile(seq, grid="geometric", ratio=args.ratio))
+
+        rep, elapsed = _timed(report)
         names = ["g_over_discrepancy_diverges", "n_times_g_diverges",
                  "stretch_ratio_to_one"]
         flags = [rep.passes_divergence_g_over_d, rep.passes_divergence_ng,
@@ -217,9 +216,7 @@ def _cmd_check(args) -> list:
     if args.infile is None or args.gamma is None:
         raise _CliError("check energy requires --in and --gamma")
     seq = RealSequence(mio.read_points(args.infile))
-    t0 = time.perf_counter()
-    cert = energy_certificate(seq, args.gamma)
-    elapsed = (time.perf_counter() - t0) * 1e3
+    cert, elapsed = _timed(energy_certificate, seq, args.gamma)
     return [
         mio.ResultRecord(command="check", statistic="energy_normalized",
                          value=cert.normalized, n=seq.n,
@@ -234,15 +231,7 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cmd == "gen":
-            records = _cmd_gen(args)
-        elif args.cmd == "stat":
-            records = _cmd_stat(args)
-        elif args.cmd == "exp":
-            records = _cmd_exp(args)
-        else:
-            records = _cmd_check(args)
-        _emit(records, args, args.cmd)
+        _emit(args.run(args), args)
         return 0
     except (_CliError, ValueError, OSError, KeyError) as exc:
         print(f"modone: error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ DEFAULT_N_MIN = 16
 WIDTH_CAP = 0.45
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaleFunction:
     """Perturbation half-width g(n), as a named family with one parameter.
 
@@ -32,13 +32,14 @@ class ScaleFunction:
       table:     g(n) = table[n-1]  (explicit per-index widths)
 
     Evaluation takes real n >= 1, clamps it at DEFAULT_N_MIN for the formula
-    families and caps the value at WIDTH_CAP.
+    families and caps the value at WIDTH_CAP. A table keeps its own read-only
+    copy of the widths.
     """
 
     family: str
     c: float = 0.0
     g0: float = 0.0
-    values: Optional[tuple] = None
+    values: Optional[np.ndarray] = None
 
     @classmethod
     def beck(cls, c: float) -> "ScaleFunction":
@@ -61,11 +62,14 @@ class ScaleFunction:
     @classmethod
     def table(cls, values) -> "ScaleFunction":
         try:
-            vals = tuple(float(v) for v in values)
+            vals = np.array(values, dtype=np.float64)   # a copy
+            if vals.ndim != 1:
+                raise ValueError
         except (TypeError, ValueError):
             raise ValueError(f"table widths must be numbers, got {values!r}") from None
-        if not all(math.isfinite(v) and v >= 0 for v in vals):
+        if not np.all(np.isfinite(vals) & (vals >= 0)):
             raise ValueError("table widths must be finite and nonnegative")
+        vals.flags.writeable = False
         return cls(family="table", values=vals)
 
     def _formula(self, n: np.ndarray) -> np.ndarray:
@@ -91,7 +95,7 @@ class ScaleFunction:
             if not np.all(idx <= len(self.values)):
                 raise ValueError("index beyond the"
                                  f" table of length {len(self.values)}")
-            out = np.asarray(self.values, dtype=np.float64)[idx.astype(np.int64) - 1]
+            out = self.values[idx.astype(np.int64) - 1]
         else:
             out = self._formula(np.maximum(x, float(DEFAULT_N_MIN)))
         out = np.minimum(out, WIDTH_CAP)
@@ -211,28 +215,22 @@ def convergents(alpha: float, q_max: int, tol: float = 1e-12) -> list[Convergent
     if q_max < 1:
         raise ValueError("need q_max >= 1")
     alpha = float(alpha)
-    p_prev, q_prev = 1, 0
+    out = []
+    p_prev, q_prev, p, q = 0, 1, 1, 0
     x = alpha
-    ai = math.floor(x)
-    rem = x - ai
-    if rem > 1.0 - tol:
-        ai += 1
-        rem = 0.0
-    p_cur, q_cur = ai, 1
-    out = [Convergent(p_cur, q_cur, abs(alpha - p_cur / q_cur))]
-    while rem > tol:
-        x = 1.0 / rem
+    while True:
         ai = math.floor(x)
         rem = x - ai
         if rem > 1.0 - tol:
             ai += 1
             rem = 0.0
-        p_nxt = ai * p_cur + p_prev
-        q_nxt = ai * q_cur + q_prev
-        if q_nxt > q_max:
+        p_prev, q_prev, p, q = p, q, ai * p + p_prev, ai * q + q_prev
+        if q > q_max:
             break
-        out.append(Convergent(p_nxt, q_nxt, abs(alpha - p_nxt / q_nxt)))
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_nxt, q_nxt
+        out.append(Convergent(p, q, abs(alpha - p / q)))
+        if rem <= tol:
+            break
+        x = 1.0 / rem
     return out
 
 

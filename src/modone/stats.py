@@ -269,16 +269,18 @@ def k_level_correlation(pts: TorusPoints, window: CorrelationWindow) -> float:
 # discrepancy
 
 
+def _sorted_discrepancy(y: np.ndarray, i: np.ndarray) -> tuple[float, float]:
+    """(D, D*) of the sorted points y, with i = 0, 1, ..., len(y) or longer."""
+    m = y.size
+    over = np.max(i[1:m + 1] / m - y)    # interval ending just below a point
+    under = np.max(y - i[:m] / m)        # interval starting just above one
+    return float(max(over, 0.0) + max(under, 0.0)), float(max(over, under, 0.0))
+
+
 def discrepancy(pts: TorusPoints) -> tuple[float, float]:
     """Exact (D_N, D*_N) from the sorted-order formulas, closed-interval
     convention (degenerate intervals allowed, so D_N >= 1/N)."""
-    y = pts.points
-    n = pts.n
-    i = np.arange(n + 1, dtype=np.float64)
-    over = np.max(i[1:] / n - y)       # interval ending just below a point
-    under = np.max(y - i[:-1] / n)     # interval starting just above one
-    d = float(max(over, 0.0) + max(under, 0.0))
-    return d, float(max(over, under, 0.0))
+    return _sorted_discrepancy(pts.points, np.arange(pts.n + 1, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -330,28 +332,23 @@ def discrepancy_profile(seq: RealSequence, grid: str = "full",
     """
     n = seq.n
     fracs = frac_part(seq.values)
+    i = np.arange(n + 1, dtype=np.float64)
     if grid == "full":
         n_grid = np.arange(1, n + 1, dtype=np.int64)
         d_vals = np.empty(n, dtype=np.float64)
         s_vals = np.empty(n, dtype=np.float64)
         buf = np.empty(n, dtype=np.float64)   # the sorted prefix, grown in place
-        i = np.arange(n + 1, dtype=np.float64)
         for m in range(1, n + 1):
             pos = int(np.searchsorted(buf[:m - 1], fracs[m - 1]))
             buf[pos + 1:m] = buf[pos:m - 1]
             buf[pos] = fracs[m - 1]
-            y = buf[:m]
-            over = np.max(i[1:m + 1] / m - y)
-            under = np.max(y - i[:m] / m)
-            d_vals[m - 1] = max(over, 0.0) + max(under, 0.0)
-            s_vals[m - 1] = max(over, under, 0.0)
+            d_vals[m - 1], s_vals[m - 1] = _sorted_discrepancy(buf[:m], i)
     elif grid == "geometric":
         n_grid = _geometric_grid(n, ratio)
         d_vals = np.empty(n_grid.size, dtype=np.float64)
         s_vals = np.empty(n_grid.size, dtype=np.float64)
         for j, m in enumerate(n_grid):
-            pts = TorusPoints(np.sort(fracs[:m]))
-            d_vals[j], s_vals[j] = discrepancy(pts)
+            d_vals[j], s_vals[j] = _sorted_discrepancy(np.sort(fracs[:m]), i)
     else:
         raise ValueError("grid must be 'full' or 'geometric'")
     m_value = float(np.max(n_grid * d_vals))

@@ -104,7 +104,7 @@ def test_gen_stat_pipeline(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     code, out, err = run(capsys, "gen", "--kind", "theorem1", "--c", "1",
                          "--n", "1000", "--seed", "7", "--out", str(pts))
-    assert code == 0 and err == ""
+    assert code == 0 and out == "" and err == ""
     code, out, err = run(capsys, "stat", "--in", str(pts), "--ppc", "--s", "1.0")
     assert code == 0
     recs = records_of(out)
@@ -237,7 +237,10 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     run(capsys, "gen", "--kind", "theorem1", "--c", "1", "--n", "64", "--seed", "1",
         "--out", str(thm))
     gcond = ("check", "--what", "gcond", "--scale", "beck", "--c", "1")
+    missing = str(tmp_path / "nope.csv")   # flags are checked before the file is read
     for argv, needle in [
+            (("stat", "--in", missing, "--klevel"), "--windows"),
+            (("stat", "--in", missing, "--energy"), "--gamma"),
             (("stat", "--in", str(vdc), "--ppc", "--s", "nan"), "need s > 0"),
             (("stat", "--in", str(vdc), "--energy", "--gamma", "nan"), "need gamma > 0"),
             (("check", "--what", "energy", "--in", str(thm), "--gamma", "nan"),

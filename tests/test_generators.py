@@ -64,6 +64,16 @@ def test_table_family_and_range_error():
         g.eval(4)
     with pytest.raises(ValueError):
         g.eval(3.5)    # beyond the table only once rounded to 4
+    # the table keeps a read-only copy of its widths
+    with pytest.raises(ValueError):
+        g.values[0] = 0.4
+    src = np.array([0.1, 0.2, 0.3])
+    h = ScaleFunction.table(src)
+    src[:] = 0.4
+    assert_array_equal(h.eval(np.array([1, 2, 3])), [0.1, 0.2, 0.3])
+    for bad in (0.5, np.array(0.5), [[0.1]], np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="table widths must be numbers"):
+            ScaleFunction.table(bad)
 
 
 def test_families_monotone_non_increasing_in_tail():
@@ -212,6 +222,12 @@ def test_converse_support_and_overrides():
 def test_convergents_of_three_tenths():
     cv = [(c.p, c.q) for c in convergents(0.3, 10)]
     assert cv == [(0, 1), (1, 3), (3, 10)]
+    # integers, negatives and near-integers take the same first quotient step
+    for alpha, want in [(2.0, [(2, 1)]),
+                        (-0.3, [(-1, 1), (0, 1), (-1, 3), (-3, 10)]),
+                        (1 / 3, [(0, 1), (1, 3)]),
+                        (1 - 1e-13, [(1, 1)])]:
+        assert [(c.p, c.q) for c in convergents(alpha, 100)] == want, alpha
 
 
 def test_convergents_golden_are_fibonacci():
