@@ -80,10 +80,10 @@ def well_spaced():
 
 def counterexample():
     sched = converse_schedule(LIOUVILLE_ALPHA, 2)
-    rep = converse_experiment(0.5, LIOUVILLE_ALPHA, sched.n_values, 20, CONVERSE_SEED)
-    control = converse_experiment(0.5, LIOUVILLE_ALPHA, sched.n_values, 20,
-                                  CONVERSE_SEED + 1,
-                                  generator=GeneratorConfig(kind="theorem1", c=1.0))
+    rep = converse_experiment(GeneratorConfig(kind="converse", c=0.5), LIOUVILLE_ALPHA,
+                              sched.n_values, 20, CONVERSE_SEED)
+    control = converse_experiment(GeneratorConfig(kind="theorem1", c=1.0), LIOUVILLE_ALPHA,
+                                  sched.n_values, 20, CONVERSE_SEED + 1)
     # the base points n replaced by the rational orbit n p/q: the local
     # statistics at scale 1/N are unchanged by that at the schedule sizes
     cv = {c.q: c for c in convergents(LIOUVILLE_ALPHA, max(sched.q_values))}

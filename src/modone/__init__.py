@@ -1,7 +1,7 @@
 """Local statistics of sequences modulo 1 and seeded perturbation experiments."""
 
-from .seqcore import (RealSequence, TorusPoints, circ_dist, frac_part,
-                      frac_reduce, scale_by_alpha)
+from .seqcore import (RealSequence, TorusPoints, frac_part, frac_reduce,
+                      scale_by_alpha)
 from .generators import (Convergent, ConverseSchedule, GOLDEN_ALPHA,
                          LIOUVILLE_ALPHA, ScaleFunction, arithmetic_sequence,
                          converse_schedule, convergents, gen_base, gen_converse,

@@ -175,7 +175,7 @@ def _cmd_stat(args) -> list:
 def _cmd_exp(args) -> list:
     with open(args.config, "r", encoding="ascii") as f:
         plan = mio.plan_from_json(f.read())
-    summary, elapsed = _timed(run_trials, plan, threads=max(1, args.threads))
+    summary, elapsed = _timed(run_trials, plan, threads=args.threads)
     records = []
     for i, n in enumerate(plan.n_schedule):
         for j, w in enumerate(plan.windows):
@@ -184,7 +184,6 @@ def _cmd_exp(args) -> list:
                 value=float(summary.means[i, j]), n=n,
                 seed=plan.master_seed, window=w.describe(),
                 error=float(summary.standard_errors[i, j]),
-                error_kind="standard_error",
                 wall_time_ms=elapsed))
     return records
 

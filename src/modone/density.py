@@ -1,13 +1,14 @@
 """Density of the perturbed point process and the expected window-count
 function, with exact sweep integration over their breakpoints.
 
-For a base sequence x_n (taken modulo 1) and width function g, the density is
+For a base sequence x_n and width function g, with the closed arcs
+A_n = [x_n - g(n), x_n + g(n)] mod 1, the density is
 
-    rho(x) = (1/N) sum_n (1/(2 g(n))) * 1(circ_dist(x, {x_n}) <= g(n))
+    rho(x) = (1/N) sum_n 1_{A_n}(x) / (2 g(n)),
 
 a piecewise-constant function on the circle with at most 2N breakpoints, and
 
-    h_s(x) = sum_n |arc(x_n, g(n)) inter arc(x, s/N)| / (2 g(n))
+    h_s(x) = sum_n |A_n inter [x - s/N, x + s/N]| / (2 g(n))
 
 is continuous piecewise linear with at most 4N breakpoints. Arcs wrap around
 the circle throughout, which is the only convention making the sweep integral
@@ -15,12 +16,11 @@ of rho exactly 1 for points near 0. Both integrands are piecewise polynomial
 of degree <= 1 between breakpoints, so every integral here is computed
 exactly (up to rounding) rather than by quadrature.
 
-Breakpoint tables: each closed arc A_n = [x_n - g(n), x_n + g(n)] is stored
-by its start and end reduced into [0, 1); an arc whose end lies below its
-start wraps through 0. A weighted sum of arc indicators at x in [0, 1) is
-then the total weight of the wrapping arcs, plus the weight of the arcs that
-start at or before x, minus the weight of those that end before x: two
-searchsorted lookups into cumulative sums. Level tables sort all 2N
+Breakpoint tables: each arc A_n is stored by its start and end reduced into
+[0, 1); an arc whose end lies below its start wraps through 0. A weighted sum
+of arc indicators at x in [0, 1) is then the total weight of the wrapping
+arcs, plus the weight of the arcs that start at or before x, minus the weight
+of those that end before x: two searchsorted lookups into cumulative sums. Level tables sort all 2N
 breakpoints together and give the value on each segment between them; an
 integer cover count is carried next to each float level, so the level is
 exactly 0.0 wherever no arc covers. Every function evaluates its query points

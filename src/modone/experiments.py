@@ -195,6 +195,8 @@ def run_trials(plan: TrialPlan, threads: int = 1) -> StatSummary:
     """Execute the plan: per trial, one realization shared across the whole
     N-schedule (prefixes of one stream), dilated by the trial alpha, reduced
     modulo 1, and scored under every window."""
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     n_max = plan.n_schedule[-1]
     n_windows = len(plan.windows)
     values = np.empty((plan.trials, len(plan.n_schedule), n_windows))
@@ -255,8 +257,8 @@ class GConditionReport:
 def check_g_conditions(scale: ScaleFunction,
                        profile: DiscrepancyProfile) -> GConditionReport:
     """Trend-flag the three regularity hypotheses against a measured
-    discrepancy profile of the base sequence. Reports, never rejects the
-    scale; the profile's top decade must hold at least two grid sizes."""
+    discrepancy profile of the base sequence. Reports, never rejects a scale
+    positive on the grid; the top decade must hold at least two grid sizes."""
     n = profile.n_grid.astype(np.float64)
     top = n >= n[-1] / 10.0
     if np.count_nonzero(top) < 2:
@@ -265,6 +267,8 @@ def check_g_conditions(scale: ScaleFunction,
     d = profile.d_values
     m_run = profile.running_max_nd()
     g = scale.eval(n)
+    if not np.all(g > 0):
+        raise ValueError("the regularity conditions need a width g(N) > 0 at every grid size")
     traj1 = g / d
     traj2 = n * g
     stretched = n * (1.0 + m_run / (n * g))
@@ -298,13 +302,11 @@ class ConverseReport:
     max_ratio: float
 
 
-def converse_experiment(c: float, alpha: float, schedule, trials: int,
-                        seed: int, s: float = 1.0,
-                        generator: Optional[GeneratorConfig] = None) -> ConverseReport:
-    """Mean dilated pair statistic of the counterexample construction (or of a
-    substitute generator, to compare harnesses) along the schedule sizes."""
-    gen = generator if generator is not None else GeneratorConfig(kind="converse", c=c)
-    plan = TrialPlan(gen, tuple(schedule), (CorrelationWindow.pair(s),), trials, seed,
+def converse_experiment(generator: GeneratorConfig, alpha: float, schedule, trials: int,
+                        seed: int, s: float = 1.0) -> ConverseReport:
+    """Mean pair statistic of the generator's sequences dilated by alpha along
+    the schedule sizes: the counterexample construction, or a control."""
+    plan = TrialPlan(generator, tuple(schedule), (CorrelationWindow.pair(s),), trials, seed,
                      ("fixed", alpha))
     means = run_trials(plan).means[:, 0]
     ratios = means / (2.0 * s)

@@ -205,10 +205,13 @@ class Convergent:
     error: float
 
 
-def convergents(alpha: float, q_max: int, tol: float = 1e-12) -> list[Convergent]:
+_CF_TOL = 1e-12
+
+
+def convergents(alpha: float, q_max: int) -> list[Convergent]:
     """Continued-fraction convergents p/q of alpha with q <= q_max, q increasing.
 
-    Quotients within `tol` of an integer are snapped to it and the expansion
+    Quotients within _CF_TOL of an integer are snapped to it and the expansion
     stops there (remainder treated as 0); a binary64 input that merely sits a
     few ulps away from a small rational therefore expands like that rational.
     """
@@ -221,14 +224,14 @@ def convergents(alpha: float, q_max: int, tol: float = 1e-12) -> list[Convergent
     while True:
         ai = math.floor(x)
         rem = x - ai
-        if rem > 1.0 - tol:
+        if rem > 1.0 - _CF_TOL:
             ai += 1
             rem = 0.0
         p_prev, q_prev, p, q = p, q, ai * p + p_prev, ai * q + q_prev
         if q > q_max:
             break
         out.append(Convergent(p, q, abs(alpha - p / q)))
-        if rem <= tol:
+        if rem <= _CF_TOL:
             break
         x = 1.0 / rem
     return out
@@ -274,15 +277,18 @@ def schedule_size(q: int) -> int:
     return math.floor(q * math.sqrt(math.log(q)) * (math.log(math.log(q))) ** (1.0 / 3.0))
 
 
-def converse_schedule(alpha: float, count: int, q_max: int = 1_000_000) -> ConverseSchedule:
+_SCHEDULE_Q_MAX = 1_000_000
+
+
+def converse_schedule(alpha: float, count: int) -> ConverseSchedule:
     """Sizes at which the counterexample statistic is evaluated.
 
-    Takes the `count` largest convergent denominators q >= 16 with q <= q_max;
+    Takes the `count` largest convergent denominators 16 <= q <= _SCHEDULE_Q_MAX;
     if fewer exist the schedule is returned incomplete rather than failing.
     """
     if count < 1:
         raise ValueError("need count >= 1")
-    qs = [cv.q for cv in convergents(alpha, q_max) if cv.q >= 16]
+    qs = [cv.q for cv in convergents(alpha, _SCHEDULE_Q_MAX) if cv.q >= 16]
     chosen = sorted(qs)[-count:]
     return ConverseSchedule(
         n_values=tuple(schedule_size(q) for q in chosen),

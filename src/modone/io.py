@@ -58,7 +58,8 @@ def read_points(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One statistic evaluation, serialized as a single JSON line."""
+    """One statistic evaluation, serialized as a single JSON line. An error is
+    always a standard error."""
 
     command: str
     statistic: str
@@ -67,13 +68,11 @@ class ResultRecord:
     seed: Optional[int] = None
     window: Optional[str] = None
     error: Optional[float] = None
-    error_kind: Optional[str] = None    # "standard_error" or "bound"
     wall_time_ms: Optional[float] = None
-    schema_version: int = SCHEMA_VERSION
 
     def to_json_line(self, include_timing: bool = True) -> str:
         obj = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "statistic": self.statistic,
             "n": self.n,
@@ -85,26 +84,10 @@ class ResultRecord:
         obj["value"] = self.value
         if self.error is not None:
             obj["error"] = self.error
-            obj["error_kind"] = self.error_kind
+            obj["error_kind"] = "standard_error"
         if include_timing and self.wall_time_ms is not None:
             obj["wall_time_ms"] = self.wall_time_ms
         return json.dumps(obj, sort_keys=False, allow_nan=False)
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "ResultRecord":
-        obj = json.loads(line)
-        return cls(
-            command=obj["command"],
-            statistic=obj["statistic"],
-            value=obj["value"],
-            n=obj["n"],
-            seed=obj.get("seed"),
-            window=obj.get("window"),
-            error=obj.get("error"),
-            error_kind=obj.get("error_kind"),
-            wall_time_ms=obj.get("wall_time_ms"),
-            schema_version=obj.get("schema_version", SCHEMA_VERSION),
-        )
 
 
 # ---------------------------------------------------------------------------

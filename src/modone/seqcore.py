@@ -91,15 +91,6 @@ def frac_reduce(seq: RealSequence) -> TorusPoints:
     return TorusPoints(np.sort(frac_part(seq.values)))
 
 
-def circ_dist(u, v):
-    """Distance on the circle: min({u-v}, 1-{u-v}), in [0, 1/2]. Vectorized."""
-    d = np.mod(np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64), 1.0)
-    out = np.minimum(d, 1.0 - d)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 def scale_by_alpha(seq: RealSequence, alpha: float) -> RealSequence:
     """Dilate a raw sequence by a nonzero real, as used by the metric experiments."""
     if alpha == 0:

@@ -305,20 +305,12 @@ def _geometric_grid(n: int, ratio: float) -> np.ndarray:
         # x * ratio <= x + 1 while x <= n, so no integer is skipped; x * ratio
         # can also round back to x and stall before reaching n
         return np.arange(1, n + 1, dtype=np.int64)
-    # multiply.accumulate rounds each product in turn, as x *= ratio does;
-    # one block of about log n / log ratio products passes n unless rounding
-    # leaves it short, and products past n, infinite ones included, are dropped
-    length = min(int(math.log(n) / math.log(ratio)) + 2, 1 << 16)
     sizes = []
     x = 1.0
     while x <= n:
-        block = np.full(length, ratio)
-        block[0] = x
-        with np.errstate(over="ignore"):
-            xs = np.multiply.accumulate(block)
-        sizes.append(np.ceil(xs[xs <= n]))
-        x = float(xs[-1]) * ratio
-    grid = np.unique(np.concatenate(sizes)).astype(np.int64)
+        sizes.append(math.ceil(x))
+        x *= ratio
+    grid = np.unique(np.array(sizes, dtype=np.int64))
     return grid if grid[-1] == n else np.append(grid, n)
 
 
@@ -441,6 +433,11 @@ def additive_energy(seq: RealSequence, gamma: float) -> EnergyResult:
         raise ValueError("need gamma > 0")
     n = seq.n
     x = np.sort(seq.values)
+    # below the spacing of the largest sums, p +- gamma can round back to p
+    # and a close count comes out negative
+    floor = float(np.spacing(2.0 * max(-x[0], x[-1])))
+    if gamma < floor:
+        raise ValueError(f"gamma {gamma:g} is below the float spacing {floor:g} of the sums")
     diag = x + x
     count = _close_count(diag, diag, gamma)
     bounds = _slab_bounds(x, -(-(n * (n - 1) // 2) // _SLAB_SUMS))
@@ -469,13 +466,6 @@ class GapDistribution:
     @property
     def n(self) -> int:
         return int(self.scaled_gaps.size)
-
-    def ecdf(self, x) -> np.ndarray | float:
-        pos = np.searchsorted(self.scaled_gaps, np.asarray(x), side="right")
-        out = pos / self.n
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
 
 
 def gap_distribution(pts: TorusPoints) -> GapDistribution:

@@ -116,7 +116,8 @@ def _arcs(base, scale):
     return centers, widths
 
 
-def _circle_distance(xs, c):
+def circle_distance(xs, c):
+    """Distance on the circle: min({xs - c}, 1 - {xs - c}), in [0, 1/2]."""
     d = np.mod(xs - c, 1.0)
     return np.minimum(d, 1.0 - d)
 
@@ -128,7 +129,7 @@ def brute_density(base, scale, xs):
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     rho = np.zeros(xs.size)
     for c, g in zip(centers, widths):
-        rho[_circle_distance(xs, c) <= g] += 1.0 / (2.0 * g * base.n)
+        rho[circle_distance(xs, c) <= g] += 1.0 / (2.0 * g * base.n)
     return rho
 
 
@@ -141,7 +142,7 @@ def brute_window_count(base, scale, s, xs):
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     h = np.zeros(xs.size)
     for c, g in zip(centers, widths):
-        d = _circle_distance(xs, c)
+        d = circle_distance(xs, c)
         near = np.maximum(0.0, np.minimum(min(2.0 * g, 2.0 * w), g + w - d))
         far = np.maximum(0.0, g + w - (1.0 - d))
         h += (near + far) / (2.0 * g)

@@ -164,11 +164,10 @@ def test_criterion_07_energy_certificate():
 def test_criterion_08_converse_exceedance():
     sched = converse_schedule(LIOUVILLE_ALPHA, 2)
     assert sched.complete
-    rep = converse_experiment(0.5, LIOUVILLE_ALPHA, sched.n_values,
-                              trials=20, seed=8801)
-    control = converse_experiment(0.5, LIOUVILLE_ALPHA, sched.n_values,
-                                  trials=20, seed=8802,
-                                  generator=GeneratorConfig(kind="theorem1", c=1.0))
+    rep = converse_experiment(GeneratorConfig(kind="converse", c=0.5), LIOUVILLE_ALPHA,
+                              sched.n_values, trials=20, seed=8801)
+    control = converse_experiment(GeneratorConfig(kind="theorem1", c=1.0), LIOUVILLE_ALPHA,
+                                  sched.n_values, trials=20, seed=8802)
     control_ok = all(0.95 <= r <= 1.05 for r in control.ratios)
     ok = rep.max_ratio >= 1.2 and control_ok
     _report(8, ok, f"converse ratios {tuple(round(r, 4) for r in rep.ratios)} "

@@ -13,6 +13,7 @@ from modone import (GOLDEN_ALPHA, GeneratorConfig, ResultRecord, ScaleFunction,
 from modone.cli import run_cli
 from modone.experiments import _KIND_PARAMETER
 from modone.generators import _SCALE_PARAMETER
+from modone.io import SCHEMA_VERSION
 
 
 def run(capsys, *argv):
@@ -89,10 +90,16 @@ def test_stat_rejects_bad_points_files(tmp_path, capsys, body):
 def test_result_record_round_trip():
     rec = ResultRecord(command="stat", statistic="pair_correlation",
                        value=1.995, n=100, seed=7, window="s=1",
-                       error=0.01, error_kind="standard_error",
-                       wall_time_ms=12.5)
-    line = rec.to_json_line()
-    assert ResultRecord.from_json_line(line) == rec
+                       error=0.01, wall_time_ms=12.5)
+    # every field comes back, in the fixed key order; an error is a standard error
+    assert list(json.loads(rec.to_json_line()).items()) == [
+        ("schema_version", SCHEMA_VERSION), ("command", "stat"),
+        ("statistic", "pair_correlation"), ("n", 100), ("seed", 7), ("window", "s=1"),
+        ("value", 1.995), ("error", 0.01), ("error_kind", "standard_error"),
+        ("wall_time_ms", 12.5)]
+    bare = ResultRecord(command="stat", statistic="discrepancy", value=0.5, n=3)
+    assert list(json.loads(bare.to_json_line())) == [
+        "schema_version", "command", "statistic", "n", "value"]
     # --no-timing drops only the timing field
     assert "wall_time_ms" not in rec.to_json_line(include_timing=False)
 
@@ -238,6 +245,12 @@ def test_exit_code_validation_errors(tmp_path, capsys):
         "--out", str(thm))
     gcond = ("check", "--what", "gcond", "--scale", "beck", "--c", "1")
     missing = str(tmp_path / "nope.csv")   # flags are checked before the file is read
+    near = tmp_path / "near.pts"   # gamma 1e-14 is below the spacing of these sums
+    near.write_text("# modone-points v1 n=3\n1000.5\n2001.25\n3002.125\n")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"generator": {"kind": "van_der_corput", "base": 2},
+                                "n_schedule": [100], "windows": [{"pair_s": 1.0}],
+                                "trials": 1, "master_seed": 1}))
     for argv, needle in [
             (("stat", "--in", missing, "--klevel"), "--windows"),
             (("stat", "--in", missing, "--energy"), "--gamma"),
@@ -247,7 +260,14 @@ def test_exit_code_validation_errors(tmp_path, capsys):
              "need gamma > 0"),
             ((*gcond, "--n", "1"), "fewer than two sizes"),
             ((*gcond, "--n", "100", "--ratio", "inf"), "finite grid ratio > 1"),
-            ((*gcond, "--n", "100", "--ratio", "nan"), "finite grid ratio > 1")]:
+            ((*gcond, "--n", "100", "--ratio", "nan"), "finite grid ratio > 1"),
+            (("stat", "--in", str(near), "--energy", "--gamma", "1e-14"), "float spacing"),
+            (("check", "--what", "energy", "--in", str(near), "--gamma", "1e-14"),
+             "float spacing"),
+            (("check", "--what", "gcond", "--scale", "constant", "--g0", "0", "--n", "1000"),
+             "g(N) > 0"),
+            (("exp", "--config", str(plan), "--threads", "0"), "threads >= 1"),
+            (("exp", "--config", str(plan), "--threads", "-3"), "threads >= 1")]:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and err.count("\n") == 1, argv
         assert err.startswith("modone: error:") and needle in err, argv

@@ -208,28 +208,30 @@ def test_conditions_powerlog_over_liouville_fails_first():
 # ---------------------------------------------------------------------------
 # converse experiment
 
+CONVERSE = GeneratorConfig(kind="converse", c=0.5)
+
 def test_converse_smoke_small():
-    rep = converse_experiment(0.5, LIOUVILLE_ALPHA, [26], trials=1, seed=3)
+    rep = converse_experiment(CONVERSE, LIOUVILLE_ALPHA, [26], trials=1, seed=3)
     assert len(rep.ratios) == 1
     assert rep.max_ratio == rep.ratios[0]
 
 
 def test_converse_validation():
     with pytest.raises(ValueError):
-        converse_experiment(0.5, LIOUVILLE_ALPHA, [26], trials=0, seed=3)
+        converse_experiment(CONVERSE, LIOUVILLE_ALPHA, [26], trials=0, seed=3)
     with pytest.raises(ValueError):
-        converse_experiment(0.5, LIOUVILLE_ALPHA, [], trials=1, seed=3)
+        converse_experiment(CONVERSE, LIOUVILLE_ALPHA, [], trials=1, seed=3)
 
 
 def test_converse_means_are_pinned():
     # recorded before converse_experiment moved onto run_trials
-    rep = converse_experiment(0.5, LIOUVILLE_ALPHA, [1000, 5000], 7, 11)
+    rep = converse_experiment(CONVERSE, LIOUVILLE_ALPHA, [1000, 5000], 7, 11)
     assert rep.means == (1.1297142857142857, 1.1924571428571427)
 
 
 def test_converse_generator_override_smoke():
-    rep = converse_experiment(0.5, LIOUVILLE_ALPHA, [50, 100], trials=2, seed=3,
-                              generator=GeneratorConfig(kind="theorem1", c=1.0))
+    rep = converse_experiment(GeneratorConfig(kind="theorem1", c=1.0), LIOUVILLE_ALPHA,
+                              [50, 100], trials=2, seed=3)
     assert len(rep.means) == 2
 
 

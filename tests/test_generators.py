@@ -280,7 +280,7 @@ def test_converse_schedule_default_alpha():
 
 def test_converse_schedule_incomplete_flag():
     # 0.5 = 1/2 has no convergents with q >= 16
-    sch = converse_schedule(0.5, 2, q_max=1000)
+    sch = converse_schedule(0.5, 2)
     assert not sch.complete
     assert sch.n_values == ()
     with pytest.raises(ValueError):

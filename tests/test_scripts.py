@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -17,3 +18,12 @@ def test_script_imports_and_prints_help(script):
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_reproduce_conditions_claims_pass():
+    # the script's own check_g_conditions configurations, run at their full sizes
+    spec = importlib.util.spec_from_file_location("reproduce", ROOT / "scripts" / "reproduce.py")
+    reproduce = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reproduce)
+    claims = list(reproduce.conditions())
+    assert len(claims) == 3 and all(ok for ok, _ in claims), claims
