@@ -210,6 +210,7 @@ def test_conditions_powerlog_over_liouville_fails_first():
 
 CONVERSE = GeneratorConfig(kind="converse", c=0.5)
 
+
 def test_converse_smoke_small():
     rep = converse_experiment(CONVERSE, LIOUVILLE_ALPHA, [26], trials=1, seed=3)
     assert len(rep.ratios) == 1
