@@ -271,7 +271,11 @@ def check_g_conditions(scale: ScaleFunction,
         raise ValueError("the regularity conditions need a width g(N) > 0 at every grid size")
     traj1 = g / d
     traj2 = n * g
-    stretched = n * (1.0 + m_run / (n * g))
+    with np.errstate(over="ignore"):   # a subnormal width sends M(N)/(N g(N)) past float64
+        stretched = n * (1.0 + m_run / (n * g))
+    if not np.all(np.isfinite(stretched)):
+        raise ValueError("the stretched size N(1 + M(N)/(N g(N))) overflows float64: "
+                         "g(N) is too small")
     traj3 = scale.eval(stretched) / g
 
     logn = np.log(n[top])

@@ -79,10 +79,13 @@ def frac_part(values) -> np.ndarray:
     """Fractional part mapping into [0, 1), mathematical mod (negative inputs wrap up).
 
     Values whose fractional part rounds to 1.0 in binary64 are mapped to 0.0 so
-    the half-open invariant holds exactly.
+    the half-open invariant holds exactly. x - floor(x) is bitwise np.mod(x, 1.0)
+    for finite x: one rounding of the same exact value, +0 for integers and -0.
     """
-    r = np.mod(np.asarray(values, dtype=np.float64), 1.0)
-    r = np.where(r >= 1.0, 0.0, r)
+    x = np.asarray(values, dtype=np.float64)
+    r = np.floor(x)
+    np.subtract(x, r, out=r)
+    r[r >= 1.0] = 0.0
     return r
 
 

@@ -154,3 +154,17 @@ def riemann_h_rho(base, scale, s, cells):
     xs = (np.arange(cells) + 0.5) / cells
     return float(np.mean(brute_window_count(base, scale, s, xs)
                          * brute_density(base, scale, xs)))
+
+
+def frac_part_mod(values):
+    """Fractional part by np.mod, with the values that round to 1.0 mapped to 0.0."""
+    r = np.mod(np.asarray(values, dtype=np.float64), 1.0)
+    return np.where(r >= 1.0, 0.0, r)
+
+
+def points_text_oracle(values):
+    """The bytes of a v1 points file: the header, then "%.17g" of each value by
+    Python's own float formatting."""
+    vals = np.asarray(values, dtype=np.float64).tolist()
+    return (f"# modone-points v1 n={len(vals)}\n"
+            + ("%.17g\n" * len(vals)) % tuple(vals)).encode("ascii")

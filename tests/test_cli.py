@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from modone import (GOLDEN_ALPHA, GeneratorConfig, ResultRecord, ScaleFunction,
@@ -13,7 +15,8 @@ from modone import (GOLDEN_ALPHA, GeneratorConfig, ResultRecord, ScaleFunction,
 from modone.cli import run_cli
 from modone.experiments import _KIND_PARAMETER
 from modone.generators import _SCALE_PARAMETER
-from modone.io import SCHEMA_VERSION
+from modone.io import _CHUNK, SCHEMA_VERSION
+from oracles import points_text_oracle
 
 
 def run(capsys, *argv):
@@ -58,6 +61,71 @@ def test_points_v1_golden_bytes(tmp_path):
     back = read_points(path)
     assert_array_equal(back, vals)
     assert np.signbit(back[1]) and back[2] == 5e-324
+
+
+def _writer_sweeps():
+    rng = np.random.Generator(np.random.Philox(key=20260418))
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    # binary exponents -14..53: the kernel's range 1e-4 <= |x| < 2**51 and both its edges
+    near = (rng.integers(0, 2**52, 200_000, dtype=np.uint64)
+            | (rng.integers(1009, 1077, 200_000).astype(np.uint64) << np.uint64(52))
+            | (rng.integers(0, 2, 200_000).astype(np.uint64) << np.uint64(63))).view(np.float64)
+    tens = np.array([10.0 ** e for e in range(-6, 19)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    j = np.arange(20_000, dtype=np.float64)
+    # exact ties at the 17th digit: 2**48 + j/16 and 2**45 + j/32 for j = 2 mod 4,
+    # 1 + j/2**17 and j/2**18 for odd j
+    odd = 2 * j + 1
+    ties = np.concatenate([2.0**48 + j / 16, 2.0**45 + j / 32, 1 + odd[:5000] / 2**17,
+                           (odd[-5000:] + 2**16) / 2**18])
+    sub = np.nextafter(2.2250738585072014e-308, 0.0)
+    specials = [0.0, -0.0, 5e-324, -5e-324, sub, -sub, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e-4, 9.9999999999999991e15]
+    return {"random_bits": bits[np.isfinite(bits)], "kernel_range_bits": near,
+            "powers_of_ten": np.concatenate([tens, -tens]),
+            "half_way_ties": np.concatenate([ties, -ties]), "specials": np.array(specials)}
+
+
+@pytest.mark.parametrize("name", list(_writer_sweeps()))
+def test_write_points_equals_percent_g(tmp_path, name):
+    vals = _writer_sweeps()[name]
+    path = tmp_path / "pts.csv"
+    write_points(path, vals)
+    assert path.read_bytes() == points_text_oracle(vals)
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_write_points_chunk_edges(tmp_path, rng, n):
+    vals = rng.uniform(-1e7, 1e7, n)
+    vals[::97] = rng.uniform(-1e-5, 1e-5, vals[::97].size)   # the "%.17g" rows, every chunk
+    path = tmp_path / "pts.csv"
+    write_points(path, vals)
+    assert path.read_bytes() == points_text_oracle(vals)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_write_points_equals_oracle_on_any_floats(tmp_path_factory, vals):
+    path = tmp_path_factory.mktemp("pts") / "pts.csv"
+    write_points(path, vals)
+    assert path.read_bytes() == points_text_oracle(vals)
+
+
+@pytest.mark.parametrize("values, needle", [
+    (np.ones((3, 2)), "one-dimensional"),
+    (0.5, "one-dimensional"),
+    ([1.0, float("nan"), 2.0], "finite, found nan at index 1"),
+    ([-np.inf], "finite"),
+])
+def test_write_points_rejects_before_opening(tmp_path, values, needle):
+    path = tmp_path / "pts.csv"
+    with pytest.raises(ValueError, match=needle):
+        write_points(path, values)
+    assert not path.exists()
+    write_points(path, [0.25])
+    with pytest.raises(ValueError, match=needle):
+        write_points(path, values)
+    assert path.read_bytes() == b"# modone-points v1 n=1\n0.25\n"
 
 
 def test_points_crlf_and_blank_lines_accepted(tmp_path):
@@ -266,6 +334,8 @@ def test_exit_code_validation_errors(tmp_path, capsys):
              "float spacing"),
             (("check", "--what", "gcond", "--scale", "constant", "--g0", "0", "--n", "1000"),
              "g(N) > 0"),
+            (("check", "--what", "gcond", "--scale", "constant", "--g0", "1e-310", "--n", "1000"),
+             "overflows float64"),
             (("exp", "--config", str(plan), "--threads", "0"), "threads >= 1"),
             (("exp", "--config", str(plan), "--threads", "-3"), "threads >= 1")]:
         code, out, err = run(capsys, *argv)

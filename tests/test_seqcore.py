@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from modone import RealSequence, TorusPoints, frac_reduce, scale_by_alpha
-from oracles import circle_distance
+from modone import RealSequence, TorusPoints, frac_part, frac_reduce, scale_by_alpha
+from oracles import circle_distance, frac_part_mod
 
 finite_reals = st.floats(allow_nan=False, allow_infinity=False,
                          min_value=-1e9, max_value=1e9)
@@ -48,6 +48,17 @@ def test_frac_reduce_output_range():
     pts = frac_reduce(RealSequence([-1e-20, 1 - 1e-18, 123.999999]))
     assert np.all(pts.points >= 0.0)
     assert np.all(pts.points < 1.0)
+
+
+def test_frac_part_bitwise_equals_mod(rng):
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    x = np.concatenate([x, -x, [0.0, -0.0, -5e-324, 5e-324, 2.0**53 + 2, -2.0**52 - 0.5,
+                                -1e-20, 1 - 1e-18, -1.0, 3.0, -(2.0**60)]])
+    r = frac_part(x)
+    assert_array_equal(r.view(np.uint64), frac_part_mod(x).view(np.uint64))
+    assert np.all((r >= 0.0) & (r < 1.0)) and not np.signbit(r).any()
 
 
 
