@@ -32,7 +32,7 @@ class GeneratorConfig:
 
     kind: arithmetic | power | van_der_corput | theorem1 | converse.
     `scale` optionally perturbs the base kinds with seeded uniform shifts;
-    theorem1/converse carry their own width family unless overridden.
+    theorem1 and converse carry their own width family and take no scale.
     Construction checks the kind, that it is given its own parameter and no
     other, and the parameter's range.
     """
@@ -53,6 +53,8 @@ class GeneratorConfig:
                   if f != name and getattr(self, f) is not None]
         if others:
             raise ValueError(f"generator {self.kind} takes {name} but not {', '.join(others)}")
+        if self.scale is not None and self.kind not in _BASE_PARAMETER:
+            raise ValueError(f"generator {self.kind} carries its own widths and takes no scale")
         value = getattr(self, name)
         if name == "base":
             ok, what = _is_int(value), "an integer"
@@ -65,11 +67,10 @@ class GeneratorConfig:
 
     def build(self, n: int, seed: int) -> RealSequence:
         if self.kind == "theorem1":
-            return gen_theorem1(self.c, n, seed, scale=self.scale)
+            return gen_theorem1(self.c, n, seed)
         if self.kind == "converse":
-            return gen_converse(self.c, n, seed, scale=self.scale)
-        seq = gen_base(self.kind, n, alpha=self.alpha, theta=self.theta,
-                       base=self.base)
+            return gen_converse(self.c, n, seed)
+        seq = gen_base(self.kind, n, alpha=self.alpha, theta=self.theta, base=self.base)
         if self.scale is not None:
             seq = perturb(seq, self.scale, seed)
         return seq
@@ -111,6 +112,8 @@ class TrialPlan:
             raise ValueError("n_schedule must be strictly increasing")
         if not ns:
             raise ValueError("n_schedule must be nonempty")
+        if ns[0] < 1:
+            raise ValueError(f"n_schedule sizes must be at least 1, got {ns[0]}")
         for name in ("trials", "master_seed"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -302,18 +305,18 @@ def check_g_conditions(scale: ScaleFunction,
 class ConverseReport:
     n_values: tuple
     means: tuple
-    ratios: tuple            # mean / (2s) per schedule point
+    ratios: tuple            # mean / 2 per schedule point
     max_ratio: float
 
 
 def converse_experiment(generator: GeneratorConfig, alpha: float, schedule, trials: int,
-                        seed: int, s: float = 1.0) -> ConverseReport:
-    """Mean pair statistic of the generator's sequences dilated by alpha along
-    the schedule sizes: the counterexample construction, or a control."""
-    plan = TrialPlan(generator, tuple(schedule), (CorrelationWindow.pair(s),), trials, seed,
+                        seed: int) -> ConverseReport:
+    """Mean pair statistic at s = 1 of the generator's sequences dilated by alpha
+    along the schedule sizes: the counterexample construction, or a control."""
+    plan = TrialPlan(generator, tuple(schedule), (CorrelationWindow.pair(1.0),), trials, seed,
                      ("fixed", alpha))
     means = run_trials(plan).means[:, 0]
-    ratios = means / (2.0 * s)
+    ratios = means / 2.0
     return ConverseReport(
         n_values=plan.n_schedule,
         means=tuple(float(v) for v in means),

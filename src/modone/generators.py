@@ -73,11 +73,12 @@ class ScaleFunction:
         return cls(family="table", values=vals)
 
     def _formula(self, n: np.ndarray) -> np.ndarray:
-        if self.family == "beck":
-            ln = np.log(n)
-            return ln * np.log(ln) ** (1.0 + self.c) / n
-        if self.family == "power_log":
-            return np.log(n) ** self.c / n
+        with np.errstate(over="ignore"):   # a huge c gives +inf, capped as for c = inf
+            if self.family == "beck":
+                ln = np.log(n)
+                return ln * np.log(ln) ** (1.0 + self.c) / n
+            if self.family == "power_log":
+                return np.log(n) ** self.c / n
         if self.family == "constant":
             return np.full_like(n, self.g0, dtype=np.float64)
         raise ValueError(f"unknown scale family {self.family!r}")
@@ -175,27 +176,17 @@ def gen_base(kind: str, n: int, *, alpha: float = None, theta: float = None,
     raise ValueError(f"unknown base kind {kind!r}")
 
 
-def gen_theorem1(c: float, n: int, seed: int,
-                 scale: Optional[ScaleFunction] = None) -> RealSequence:
-    """Well-spaced construction: x_n = 2n + z_n with the beck width family.
-
-    The width cap guarantees gaps of at least 2 - 2*0.45 = 1.1, so the output
-    is well spaced for every seed. `scale` overrides the width family (used by
-    degenerate-width tests).
-    """
-    base = RealSequence(2.0 * np.arange(1, n + 1, dtype=np.float64))
-    g = scale if scale is not None else ScaleFunction.beck(c)
-    return perturb(base, g, seed)
+def gen_theorem1(c: float, n: int, seed: int) -> RealSequence:
+    """Well-spaced construction: x_n = 2n + z_n with the beck width family. The
+    width cap keeps every gap at least 2 - 2*0.45 = 1.1, for every seed."""
+    return perturb(arithmetic_sequence(2.0, n), ScaleFunction.beck(c), seed)
 
 
-def gen_converse(c: float, n: int, seed: int,
-                 scale: Optional[ScaleFunction] = None) -> RealSequence:
+def gen_converse(c: float, n: int, seed: int) -> RealSequence:
     """Counterexample construction: x_n = n + z_n with power_log widths, 0 < c <= 1/2."""
     if not 0 < c <= 0.5:
         raise ValueError("need 0 < c <= 1/2")
-    base = RealSequence(np.arange(1, n + 1, dtype=np.float64))
-    g = scale if scale is not None else ScaleFunction.power_log(c)
-    return perturb(base, g, seed)
+    return perturb(arithmetic_sequence(1.0, n), ScaleFunction.power_log(c), seed)
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,18 @@ def test_check_gcond(capsys):
     assert all(r["value"] == 1.0 for r in recs)
 
 
+@pytest.mark.parametrize("family", ["beck", "power_log"])
+def test_check_gcond_huge_c_caps_like_infinite_c(capsys, family):
+    # c = 1e300 overflows the formula to +inf, which is capped as for c = inf
+    outs = []
+    for c in ("inf", "1e300"):
+        code, out, err = run(capsys, "check", "--what", "gcond", "--scale", family,
+                             "--c", c, "--n", "1000", "--no-timing")
+        assert code == 0 and err == "", (c, err)
+        outs.append(out)
+    assert outs[0] == outs[1] and len(records_of(outs[0])) == 3
+
+
 def test_check_energy(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     run(capsys, "gen", "--kind", "theorem1", "--c", "1", "--n", "256",
@@ -423,7 +435,7 @@ def test_config_requires_master_seed(tmp_path, capsys):
     ("windows", [[0, 1]], "window must be a dict"),
     ("windows", [{"k": 3, "intervals": 5}], "intervals must be"),
     ("generator", None, "generator must be a dict"),
-    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "beck", "c": None}},
+    ("generator", {"kind": "arithmetic", "alpha": 2.0, "scale": {"family": "beck", "c": None}},
      "beck family needs c > 0"),
     ("windows", [{"k": 3.7, "intervals": [[0, 1], [0, 1]]}], "integer k"),
     ("windows", [{"k": "3", "intervals": [[0, 1], [0, 1]]}], "integer k"),
@@ -435,8 +447,8 @@ def test_config_requires_master_seed(tmp_path, capsys):
     ("windows", 5, "windows must be a list"),
     ("n_schedule", 5, "n_schedule must be a list"),
     ("generator", {"kind": ["theorem1"], "c": 1.0}, "unknown generator kind"),
-    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "table", "values": None}},
-     "table widths must be numbers"),
+    ("generator", {"kind": "arithmetic", "alpha": 2.0,
+                   "scale": {"family": "table", "values": None}}, "table widths must be numbers"),
     ("windows", [{"k": 3, "intervals": [["0", "1"], [0, 1]]}], "intervals must be"),
     ("windows", [{"k": 3, "intervals": [[0, 1], [True, 2]]}], "intervals must be"),
     ("alpha_mod", {"uniform": [1, 2]}, "config has unknown key 'alpha_mod'"),
@@ -446,22 +458,30 @@ def test_config_requires_master_seed(tmp_path, capsys):
     ("windows", [{"k": 3, "intervals": [[0, 1], [0, 1]], "s": 1}], "window has unknown key 's'"),
     ("generator", {"kind": "theorem1", "c": 1, "alpha": 5, "theta": -3},
      "generator theorem1 takes c but not alpha, theta"),
-    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "beck"}},
+    ("generator", {"kind": "arithmetic", "alpha": 2.0, "scale": {"family": "beck"}},
      "beck family needs c > 0, got None"),
-    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "constant", "g0": 0.1,
-                                                           "c": 1}}, "scale has unknown key 'c'"),
-    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": ["beck"]}},
+    ("generator", {"kind": "arithmetic", "alpha": 2.0,
+                   "scale": {"family": "constant", "g0": 0.1, "c": 1}},
+     "scale has unknown key 'c'"),
+    ("generator", {"kind": "arithmetic", "alpha": 2.0, "scale": {"family": ["beck"]}},
      "unknown scale family"),
     ("generator", {"c": 1.0}, "unknown generator kind None"),
     ("alpha_mode", {"fixed": 1.0, "uniform": [1, 2]}, "alpha_mode"),
     ("windows", [], "windows must be nonempty"),
-    ("generator", {"kind": "theorem1", "c": 1.0,
+    ("generator", {"kind": "arithmetic", "alpha": 2.0,
                    "scale": {"family": "table", "values": [0.1, float("nan"), 0.1]}},
      "table widths must be finite"),
-    ("generator", {"kind": "theorem1", "c": 1.0, "scale": {"family": "table", "values": [0.1]}},
+    ("generator", {"kind": "arithmetic", "alpha": 2.0,
+                   "scale": {"family": "table", "values": [0.1]}},
      "index beyond the table of length 1"),
     ("alpha_mode", {"fixed": 1e308}, "alpha 1e+308 dilates the theorem1 values at N=100"),
     ("generator", {"kind": "power", "theta": 200.0}, "the power values at N=100"),
+    ("n_schedule", [0, 100], "n_schedule sizes must be at least 1, got 0"),
+    ("n_schedule", [-5, 100], "n_schedule sizes must be at least 1, got -5"),
+    ("generator", {"kind": "theorem1", "c": -5, "scale": {"family": "constant", "g0": 0.1}},
+     "generator theorem1 carries its own widths and takes no scale"),
+    ("generator", {"kind": "converse", "c": 0.5, "scale": {"family": "beck", "c": 1.0}},
+     "generator converse carries its own widths and takes no scale"),
 ])
 def test_exp_rejects_bad_plans_before_any_trial(tmp_path, capsys, field, value, needle):
     plan = {"generator": {"kind": "theorem1", "c": 1.0}, "n_schedule": [100],
@@ -546,3 +566,23 @@ def test_trace_hooks_find_every_patched_name(monkeypatch):
     with tracing.Tracer().patched(modone):
         assert (cli.run_trials, experiments.derive_trial) != originals
     assert (cli.run_trials, experiments.derive_trial) == originals
+
+
+def test_trace_hooks_time_every_generator_build(monkeypatch):
+    # the traced runs time GeneratorConfig.build through experiments' names
+    import modone
+    import modone.cli  # noqa: F401  (the hooks read modone.cli)
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    configs = [GeneratorConfig(kind="theorem1", c=1.0),
+               GeneratorConfig(kind="converse", c=0.5),
+               GeneratorConfig(kind="arithmetic", alpha=GOLDEN_ALPHA,
+                               scale=ScaleFunction.constant(0.1))]
+    tracer = tracing.Tracer()
+    with tracer.patched(modone):
+        for n, config in enumerate(configs, start=5):
+            config.build(n, 1)
+    builds = [span for span in tracer.spans if span.name == "generators.build"]
+    assert [span.attrs["points"] for span in builds] == [5, 6, 7]
+    assert len(tracer.spans) == len(builds)

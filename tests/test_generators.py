@@ -196,19 +196,21 @@ def test_theorem1_well_spaced_every_seed(seed):
     assert np.all(np.diff(seq.values) >= 1.0)
 
 
-def test_theorem1_zero_width_override():
-    seq = gen_theorem1(1.0, 5, 3, scale=ScaleFunction.table(np.zeros(5)))
-    assert_array_equal(seq.values, [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("seed", [0, 3, 17, 2**63 + 5])
+def test_constructions_perturb_their_own_base_and_widths(seed):
+    n = 257
+    for gen, step, family, c in [(gen_theorem1, 2.0, ScaleFunction.beck, 1.0),
+                                 (gen_converse, 1.0, ScaleFunction.power_log, 0.5)]:
+        want = perturb(arithmetic_sequence(step, n), family(c), seed).values
+        assert_array_equal(gen(c, n, seed).values, want)
 
 
-def test_converse_support_and_overrides():
+def test_converse_support():
     n = 300
     seq = gen_converse(0.5, n, 17)
     dev = np.abs(seq.values - np.arange(1, n + 1))
     bound = np.asarray(ScaleFunction.power_log(0.5).eval(np.arange(1, n + 1)))
     assert np.all(dev <= bound)
-    ident = gen_converse(0.5, 4, 17, scale=ScaleFunction.table(np.zeros(4)))
-    assert_array_equal(ident.values, [1, 2, 3, 4])
     assert_array_equal(gen_converse(0.5, 50, 4).values, gen_converse(0.5, 50, 4).values)
     with pytest.raises(ValueError):
         gen_converse(0.0, 10, 1)
