@@ -10,7 +10,16 @@ the 17 significant digits, and the line is laid out in byte slots whose
 unprinted positions are NUL and then deleted. Values outside
 1e-4 <= |x| < 2**51 (exponent notation, zeros, subnormals, and from 2**51 up,
 where the digits need a left shift) are formatted by `"%.17g"` in the same chunk.
-The reader is one `numpy.loadtxt` call.
+
+The reader decodes the body in blocks of whole lines into one preallocated
+array. A block whose lines all have the writer's form `-?[0-9]+.[0-9]+` in that
+range is decoded in numpy: the digits D of each line come from the bytes
+before its newline, eight at a time, and the candidate D / 10**f is certified
+by the writer's own kernel, since a float whose 17-digit rounding is the line
+is the line's correctly rounded value. Any other block (exponents, blank
+lines, CRLF, spaces, more than 17 digits, ...) is read by `numpy.loadtxt`, so
+every file reads to the same values as with `numpy.loadtxt` alone. Errors name
+the file and its 1-based line.
 
 Result records are one JSON object per line with a fixed key order, so equal
 inputs produce byte-identical output streams.
@@ -19,7 +28,8 @@ inputs produce byte-identical output streams.
 from __future__ import annotations
 
 import json
-import warnings
+import os
+import stat
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,12 +49,29 @@ _POW5_LO, _POW5_HI = _POW5 & _MASK32, _POW5 >> np.uint64(32)
 _D_MIN, _D_END = np.uint64(10 ** 16), np.uint64(10 ** 17)
 _ONE, _TEN = np.uint64(1), np.uint32(10)
 
+_PREFIX = POINTS_HEADER_PREFIX.encode("ascii")
+_HEADER_BYTES = 64   # the header with an n of 40 digits and CRLF fits
+_BLOCK = 1 << 17     # bytes read per block of whole lines; its working set is ~2 MB
+_PAD = b"0" * 24     # before a block, so every line has 24 bytes before its newline
+# _KEEP[j, c]: the bytes of word j of the three before a newline that hold a
+# line of c digits, as a mask; _KEEP_ZEROS: those bytes as ASCII "0"
+_KEEP = np.array([[(1 << 64) - (1 << (64 - 8 * min(max(c - after, 0), 8))) for c in range(25)]
+                  for after in (16, 8, 0)], dtype=np.uint64)
+_KEEP_ZEROS = _KEEP & np.uint64(0x3030303030303030)
+_PAIRS = np.uint64(0x000000FF000000FF)
+_PAIRS_HI = np.uint64(100 + (10 ** 6 << 32))
+_PAIRS_LO = np.uint64(1 + (10 ** 4 << 32))
+_POW10 = np.array([10 ** k for k in range(18)], dtype=np.uint64)
+_POW10F = np.array([float(10 ** k) for k in range(21)])   # exact
 
-def _round_digits(mant, q, e10):
-    """D = mant * 2**q * 10**(16 - e10) rounded half to even, and the right shift
-    s = -(16 - e10 + q) that it takes; D is exact where 1 <= s <= 63."""
+
+def _round_digits(a, e10):
+    """D = a * 10**(16 - e10) rounded half to even for positive finite a, and the
+    right shift s that it takes; D is exact where 1 <= s <= 63."""
+    frac, e2 = np.frexp(a)
+    mant = np.ldexp(frac, 53).astype(np.uint64)   # a = mant * 2**(e2 - 53) exactly
     k = 16 - e10
-    s = -(k + q)
+    s = 53 - e2 - k
     su = np.clip(s, 1, 63).astype(np.uint64)
     b0, b1 = _POW5_LO[k], _POW5_HI[k]
     a0, a1 = mant & _MASK32, mant >> np.uint64(32)
@@ -66,16 +93,13 @@ def _format_lines(x: np.ndarray) -> bytes:
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e16)   # "%.17g" prints these without an exponent
     a[~fixed] = 1.0                    # any value in range; these rows are overwritten below
-    frac, e2 = np.frexp(a)
-    mant = np.ldexp(frac, 53).astype(np.uint64)   # a = mant * 2**q exactly
-    q = e2 - 53
     e10 = np.floor(np.log10(a)).astype(np.int64)
-    d, s = _round_digits(mant, q, e10)
+    d, s = _round_digits(a, e10)
     # log10 misses by one next to a power of ten, and rounding can carry to 10**17
     off = np.flatnonzero((d < _D_MIN) | (d >= _D_END))
     if off.size:
         e10[off] += np.where(d[off] < _D_MIN, -1, 1)
-        d[off], s[off] = _round_digits(mant[off], q[off], e10[off])
+        d[off], s[off] = _round_digits(a[off], e10[off])
     fixed &= (s >= 1) & (s <= 63)
     e10 = e10.astype(np.int8)
     neg = np.signbit(x)
@@ -139,26 +163,172 @@ def write_points(path, values) -> None:
             f.write(_format_lines(arr[i:i + _CHUNK]))
 
 
-def read_points(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as f:
-        header = f.readline().rstrip("\n")
-        if not header.startswith(POINTS_HEADER_PREFIX):
-            raise ValueError(f"{path}: not a modone points file (bad header)")
-        try:
-            n = int(header[len(POINTS_HEADER_PREFIX):])
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed points header") from exc
-        try:
-            with warnings.catch_warnings():   # an empty body fails the count check
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                vals = np.loadtxt(f, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+class _BadLine(ValueError):
+    """A body line that is not one finite number, at a 0-based index among the
+    lines of its block."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(reason)
+        self.index = index
+
+
+def _blocks(f):
+    """The rest of the binary file f in blocks of whole lines, each ending in a
+    newline; a last line without one gets one."""
+    pieces = []
+    while chunk := f.read(_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pieces.append(memoryview(chunk)[:cut])
+            yield b"".join(pieces)
+            pieces = []
+        pieces.append(chunk[cut:])
+    tail = b"".join(pieces)
+    if tail:
+        yield tail + b"\n"
+
+
+def _decode_fast(block: bytes):
+    """The values of a block whose lines are all `-?[0-9]+.[0-9]+` with at most 17
+    significant digits and 1e-4 <= |x| < 2**51, and the number of its lines;
+    None for any other block.
+
+    With the dots deleted, the 24 bytes before each newline are read as three
+    little-endian uint64 words, and each word's eight ASCII digits become a
+    number by multiply-shift steps; together they give the line's digits D. The
+    candidate D / 10**f (f fraction digits) is certified by the writer's kernel:
+    a float whose 17-digit rounding is the line is the line's correctly rounded
+    value, because 17 digits tell binary64 values apart. Above 2**53, float(D)
+    is itself rounded, so a candidate can be an ulp off; it is stepped toward
+    the line, and a line still off after that sends the block to the text path."""
+    a = np.frombuffer(block, dtype=np.uint8)
+    nl = np.flatnonzero(a == ord("\n"))
+    dot = np.flatnonzero(a == ord("."))
+    minus = np.count_nonzero(a == ord("-"))
+    m = nl.size
+    # no byte but digits, newlines, dots and minus signs; one dot per line
+    if dot.size != m or np.count_nonzero(a - np.uint8(ord("0")) < 10) + 2 * m + minus != a.size:
+        return None
+    first = np.empty_like(nl)
+    first[0], first[1:] = 0, nl[:-1] + 1
+    neg = a[first] == ord("-")
+    if np.count_nonzero(neg) != minus:   # a minus sign only as a line's first byte
+        return None
+    first += neg
+    f = nl - dot - 1
+    digits = nl - first - 1
+    if not ((dot > first).all() and (f > 0).all() and (digits <= 24).all()):
+        return None
+    text = (_PAD + block).translate(None, b".")
+    words = np.ndarray((len(text) - 7,), dtype="<u8", buffer=text, strides=(1,))
+    end = nl + (len(_PAD) - 1 - np.arange(m))   # the newline of each line in text
+    D = np.zeros(m, dtype=np.uint64)
+    for back, keep, zeros in zip((24, 16, 8), _KEEP, _KEEP_ZEROS):   # words before the newline
+        v = words[end - back]
+        v &= keep[digits]
+        v -= zeros[digits]
+        v = v * np.uint64(10) + (v >> np.uint64(8))   # byte pairs 10 * b[i] + b[i + 1]
+        v = ((v & _PAIRS) * _PAIRS_HI + ((v >> np.uint64(16)) & _PAIRS) * _PAIRS_LO) >> np.uint64(32)
+        D *= np.uint64(10 ** 8)
+        D += v
+        if back == 24 and (v >= 10).any():   # 18 or more significant digits
+            return None
+    sig = np.searchsorted(_POW10, D, side="right")   # significant digits of D
+    e10 = sig - 1 - f
+    if not ((sig > 0) & (e10 >= -4) & (e10 <= 15)).all():
+        return None
+    x = D.astype(np.float64) / _POW10F[f]
+    # up to 2**53, D and 10**f are exact and the one division rounds correctly
+    rows = np.flatnonzero(D > np.uint64(2 ** 53))
+    for _ in range(3):
+        d, s = _round_digits(x[rows], e10[rows])
+        want = D[rows] * _POW10[17 - sig[rows]]
+        off = (d != want) | (s < 1) | (s > 63)
+        if not off.any():
+            break
+        up = (d < want) & (s >= 1)   # s < 1: x reached 2**51
+        rows = rows[off]
+        x[rows] = np.nextafter(x[rows], np.where(up[off], np.inf, 0.0))
+    else:
+        return None
+    np.negative(x, out=x, where=neg)
+    return x, m
+
+
+def _loadtxt(lines):
+    """`numpy.loadtxt` of the lines as one column of finite values, or None."""
+    try:   # the last row, "0", keeps loadtxt from warning on blank lines alone
+        vals = np.loadtxt(lines + ["0"], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if vals.shape[1] != 1 or not np.isfinite(vals).all():
+        return None
+    return vals[:-1, 0]
+
+
+def _why(line: str) -> str:
+    """What is wrong with a body line that `_loadtxt` refuses."""
+    try:
+        vals = np.loadtxt([line], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return f"not a number: {ascii(line.strip())}"
     if vals.shape[1] != 1:
-        raise ValueError(f"{path}: expected one value per line, found {vals.shape[1]}")
-    if len(vals) != n:
-        raise ValueError(f"{path}: header says n={n} but found {len(vals)} values")
-    return vals.ravel()
+        return f"expected one value per line, found {vals.shape[1]}"
+    return f"points must be finite, found {vals[0, 0]}"
+
+
+def _decode_text(block: bytes):
+    """The values of a block by `numpy.loadtxt`, its lines split as a file read in
+    text mode splits them, and the number of those lines."""
+    text = block.decode("ascii", errors="replace")   # U+FFFD is no number and no space
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[:-1]
+    vals = _loadtxt(lines)
+    if vals is not None:
+        return vals, len(lines)
+    lo, hi = 0, len(lines)   # lines[:lo] read, lines[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _loadtxt(lines[:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    raise _BadLine(lo, _why(lines[lo]))
+
+
+def read_points(path) -> np.ndarray:
+    """The values of a v1 points file, each the correctly rounded value of its
+    line. A body line that is not one finite number, a header that is not
+    `# modone-points v1 n=<digits>`, or a count other than n raises ValueError."""
+    with open(path, "rb") as f:
+        head = f.readline(_HEADER_BYTES)
+        header = head.removesuffix(b"\n").removesuffix(b"\r")
+        if not header.startswith(_PREFIX):
+            raise ValueError(f"{path}: not a modone points file (bad header)")
+        count = header[len(_PREFIX):]
+        if not (count.isdigit() and (head.endswith(b"\n") or len(head) < _HEADER_BYTES)):
+            raise ValueError(f"{path}: malformed points header")
+        n = int(count)
+        st = os.fstat(f.fileno())
+        # each value takes a byte and all but the last a newline
+        if stat.S_ISREG(st.st_mode) and n > (st.st_size - len(head) + 1) // 2:
+            raise ValueError(f"{path}: header says n={n} but the file has only "
+                             f"{st.st_size - len(head)} bytes after it")
+        try:
+            out = np.empty(n)
+        except MemoryError:   # a pipe has no size to check n against
+            raise ValueError(f"{path}: header says n={n}, more values than fit in memory") from None
+        found, line = 0, 2   # values so far; the file line of the next block's first line
+        for block in _blocks(f):
+            try:
+                vals, lines = _decode_fast(block) or _decode_text(block)
+            except _BadLine as exc:
+                raise ValueError(f"{path}: line {line + exc.index}: {exc}") from None
+            if found + vals.size <= n:
+                out[found:found + vals.size] = vals
+            found, line = found + vals.size, line + lines
+    if found != n:
+        raise ValueError(f"{path}: header says n={n} but found {found} values")
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ the definitions (full enumeration, quadrature) and stays separate from the
 library's algorithmic paths."""
 
 import math
+import warnings
 
 import numpy as np
 
@@ -168,3 +169,27 @@ def points_text_oracle(values):
     vals = np.asarray(values, dtype=np.float64).tolist()
     return (f"# modone-points v1 n={len(vals)}\n"
             + ("%.17g\n" * len(vals)) % tuple(vals)).encode("ascii")
+
+
+def points_loadtxt_oracle(path):
+    """A v1 points file read by one `numpy.loadtxt` call after an `int()` of the
+    header's n: the reader that the block decoder replaced."""
+    with open(path, "r", encoding="ascii") as f:
+        header = f.readline().rstrip("\n")
+        if not header.startswith("# modone-points v1 n="):
+            raise ValueError(f"{path}: not a modone points file (bad header)")
+        try:
+            n = int(header[len("# modone-points v1 n="):])
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed points header") from exc
+        try:
+            with warnings.catch_warnings():   # an empty body fails the count check
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                vals = np.loadtxt(f, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if vals.shape[1] != 1:
+        raise ValueError(f"{path}: expected one value per line, found {vals.shape[1]}")
+    if len(vals) != n:
+        raise ValueError(f"{path}: header says n={n} but found {len(vals)} values")
+    return vals.ravel()

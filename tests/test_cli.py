@@ -1,12 +1,15 @@
 import importlib
 import json
+import os
 import re
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -15,8 +18,8 @@ from modone import (GOLDEN_ALPHA, GeneratorConfig, ResultRecord, ScaleFunction,
 from modone.cli import run_cli
 from modone.experiments import _KIND_PARAMETER
 from modone.generators import _SCALE_PARAMETER
-from modone.io import _CHUNK, SCHEMA_VERSION
-from oracles import points_text_oracle
+from modone.io import _BLOCK, _CHUNK, SCHEMA_VERSION, _decode_fast
+from oracles import points_loadtxt_oracle, points_text_oracle
 
 
 def run(capsys, *argv):
@@ -47,6 +50,24 @@ def test_points_header_validation(tmp_path):
     p.write_text("# modone-points v1 n=3\n0.5\n")
     with pytest.raises(ValueError, match="n=3"):
         read_points(p)
+
+
+def assert_reads_like_loadtxt(path):
+    """read_points and the one-loadtxt reader agree on the file: the same values,
+    bit for bit, or both refuse it (read_points refuses the non-finite values
+    that loadtxt returns)."""
+    try:
+        want = points_loadtxt_oracle(path)
+        refused = not np.isfinite(want).all()
+    except ValueError:
+        refused = True
+    try:
+        got = read_points(path)
+    except ValueError:
+        assert refused, path.read_bytes()[:200]
+        return
+    assert not refused, path.read_bytes()[:200]
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_points_v1_golden_bytes(tmp_path):
@@ -92,6 +113,7 @@ def test_write_points_equals_percent_g(tmp_path, name):
     path = tmp_path / "pts.csv"
     write_points(path, vals)
     assert path.read_bytes() == points_text_oracle(vals)
+    assert_reads_like_loadtxt(path)
 
 
 @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
@@ -101,6 +123,7 @@ def test_write_points_chunk_edges(tmp_path, rng, n):
     path = tmp_path / "pts.csv"
     write_points(path, vals)
     assert path.read_bytes() == points_text_oracle(vals)
+    assert_reads_like_loadtxt(path)
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
@@ -134,23 +157,155 @@ def test_points_crlf_and_blank_lines_accepted(tmp_path):
     assert_array_equal(read_points(p), [0.25, -0.5, 1e3])
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("body", [
-    "# modone-points v1 n=0\n",              # empty sequence
-    "# modone-points v1 n=0\n\n\n",
-    "# modone-points v1 n=2\n",              # body missing
-    "# modone-points v1 n=2\n1.5 2.5\n",     # two values on one line
-    "# modone-points v1 n=4\n1.5 2.5\n3 4\n",
-    "# modone-points v1 n=1\nabc\n",
-    "# modone-points v1 n=1\n#2.5\n",
-    "# modone-points v1 n=2\n0.5\n0.5x\n",
+def test_fast_path_certifies_every_writer_line_in_its_range():
+    # the lines "%.17g" prints with a dot for 1e-4 <= |x| < 2**51 never need the
+    # loadtxt path, including the ulp steps the candidate D / 10**f can need
+    vals = np.concatenate([_writer_sweeps()[name] for name in
+                           ("kernel_range_bits", "powers_of_ten", "half_way_ties")])
+    vals = np.concatenate([vals, [1e-4, -1e-4, np.nextafter(2.0**51, 0.0)]])
+    a = np.abs(vals)
+    vals = vals[(a >= 1e-4) & (a < 2.0**51) & (vals != np.floor(vals))]
+    body = points_text_oracle(vals).split(b"\n", 1)[1]
+    got, lines = _decode_fast(body)
+    assert lines == vals.size
+    assert_array_equal(got.view(np.uint64), vals.view(np.uint64))
+
+
+def _digits(lo, hi):
+    return st.text("0123456789", min_size=lo, max_size=hi)
+
+
+_ODD_LINES = [".5", "5.", " 0.25", "0.25 ", "\t1.5", "+2.5", "1_0", "0x1p-2", "", "  ", "\t",
+              "-0", "-0.0", "7", "1E5", "0.1 0.2", "-.5", "--1.5", "1-1.5", "12.-5", "1.5-",
+              "0.10000000000000000", "2251799813685247.9", "0.00009999999999999999"]
+_LINES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.floats(1e-4, 2.0**51, exclude_max=True).flatmap(
+        lambda v: st.sampled_from(["%.17g" % v, "-%.17g" % v])),
+    st.builds(lambda i, f: f"{i}.{f}", _digits(1, 4), _digits(1, 4)),          # short decimals
+    st.builds(lambda d, k: d[:k] + "." + d[k:], _digits(18, 25), st.integers(1, 17)),
+    st.builds(lambda m, e: f"{m}e{e}", _digits(1, 5), st.integers(-330, 330)),
+    st.sampled_from(_ODD_LINES),
+)
+
+
+@given(st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n"])), max_size=12),
+       st.booleans())
+@example([(line, "\n") for line in _ODD_LINES], True)
+@settings(max_examples=300, deadline=None)
+def test_read_points_equals_loadtxt_on_mixed_bodies(tmp_path_factory, lines, last_newline):
+    body = "".join(line + end for line, end in lines)
+    if not last_newline:
+        body = body.rstrip("\r\n")
+    n = sum(1 for line, _ in lines if line.strip())
+    path = tmp_path_factory.mktemp("pts") / "pts.csv"
+    path.write_bytes(f"# modone-points v1 n={n}\n{body}".encode("ascii"))
+    assert_reads_like_loadtxt(path)
+    for line, _ in lines:   # every value the fast path accepts is the line's own
+        got = _decode_fast(f"{line}\n".encode("ascii"))
+        if got is not None:
+            assert got[0].view(np.uint64)[0] == np.float64(float(line)).view(np.uint64)
+
+
+def test_read_points_across_block_edges(tmp_path, rng):
+    lines = ["%.17g" % v for v in rng.uniform(-1e3, 1e3, 3 * _BLOCK // 18)]
+    body = "".join(line + "\n" for line in lines)
+    assert body[_BLOCK - 1] != "\n"   # a line straddles the first block's end
+    bodies = {
+        "straddle": body,
+        "no final newline": body + "0.25",
+        "no final newline, loadtxt path": body + "1e3",
+        "line longer than a block": body + " " * (_BLOCK + 5) + "0.5\n" + body,
+        "crlf": body.replace("\n", "\r\n"),
+    }
+    for name, text in bodies.items():
+        path = tmp_path / "pts.csv"
+        n = sum(1 for line in text.splitlines() if line.strip())
+        path.write_bytes(f"# modone-points v1 n={n}\n{text}".encode("ascii"))
+        assert_reads_like_loadtxt(path)
+        assert read_points(path).size == n, name
+
+
+def test_read_points_working_set_is_one_block(tmp_path, rng):
+    # the values go straight into one array of the header's n; beyond it the
+    # reader holds one block's arrays, whatever n is
+    vals = rng.uniform(0.0, 6e6, 400_000)
+    path = tmp_path / "pts.csv"
+    write_points(path, vals)
+    tracemalloc.start()
+    try:
+        got = read_points(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_array_equal(got, vals)
+    assert peak - got.nbytes < 3e6
+
+
+def test_read_points_from_a_pipe(tmp_path):
+    fifo = tmp_path / "pts.fifo"
+    os.mkfifo(fifo)
+
+    def read(text):
+        feeder = threading.Thread(target=fifo.write_text, args=(text,))
+        feeder.start()
+        try:
+            return read_points(fifo)
+        finally:
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
+
+    assert_array_equal(read("# modone-points v1 n=2\n0.5\n0.25\n"), [0.5, 0.25])
+    # a pipe has no size, and no address space holds 10**16 values
+    with pytest.raises(ValueError, match="n=10000000000000000, more values than fit"):
+        read("# modone-points v1 n=10000000000000000\n0.5\n")
+
+
+@pytest.mark.parametrize("first, later, needle", [
+    ("0.5x", "nan", "line 100001: not a number: '0.5x'"),
+    ("nan", "0.5x", "line 100001: points must be finite, found nan"),
 ])
-def test_stat_rejects_bad_points_files(tmp_path, capsys, body):
+def test_read_points_names_the_earliest_bad_line(tmp_path, rng, first, later, needle):
+    lines = ["%.17g" % v for v in rng.uniform(0.0, 1.0, 150_000)]
+    lines[99_999], lines[140_000] = first, later   # body lines 100 000 and 140 001
+    path = tmp_path / "pts.csv"
+    path.write_text(f"# modone-points v1 n={len(lines)}\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_points(path)
+    assert str(exc.value) == f"{path}: {needle}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body, needle", [pytest.param(body, needle, id=body) for body, needle in [
+    ("# modone-points v1 n=0\n", "at least one value"),          # empty sequence
+    ("# modone-points v1 n=0\n\n\n", "at least one value"),
+    ("# modone-points v1 n=2\n", "n=2 but the file has only 0 bytes"),   # body missing
+    ("# modone-points v1 n=2\n1.5 2.5\n", "line 2: expected one value per line, found 2"),
+    ("# modone-points v1 n=4\n1.5 2.5\n3 4\n", "line 2: expected one value per line, found 2"),
+    ("# modone-points v1 n=1\nabc\n", "line 2: not a number: 'abc'"),
+    ("# modone-points v1 n=1\n#2.5\n", "line 2: not a number: '#2.5'"),
+    ("# modone-points v1 n=2\n0.5\n0.5x\n", "line 3: not a number: '0.5x'"),
+    ("# modone-points v1 n=2\n0.5\n0.5\u00e9\n", "line 3: not a number: '0.5\\ufffd\\ufffd'"),
+    ("# modone-points v1 n=3\n0.1\nnan\n0.3\n", "line 3: points must be finite, found nan"),
+    ("# modone-points v1 n=2\n-inf\n0.5\n", "line 2: points must be finite, found -inf"),
+    ("# modone-points v1 n=2\n0.5\n\n1e999\n", "line 4: points must be finite, found inf"),
+    ("# modone-points v1 n=1_0\n" + "0.5\n" * 10, "malformed points header"),
+    ("# modone-points v1 n=+2\n0.5\n0.5\n", "malformed points header"),
+    ("# modone-points v1 n= 2\n0.5\n0.5\n", "malformed points header"),
+    ("# modone-points v1 n=-1\n", "malformed points header"),
+    ("# modone-points v1 n=\n0.5\n", "malformed points header"),
+    ("# modone-points v1 n=3\n0.5\n0.5\n", "n=3 but found 2 values"),
+    # checked against the file's size before the output array is allocated
+    ("# modone-points v1 n=99999999999999999999\n0.5\n", "only 4 bytes after it"),
+    ("# modone-points v1 n=5\n0.5\n0.5", "n=5 but the file has only 7 bytes"),
+]])
+def test_stat_rejects_bad_points_files(tmp_path, capsys, body, needle):
     pts = tmp_path / "bad_points.csv"
     pts.write_text(body)
     code, out, err = run(capsys, "stat", "--in", str(pts), "--ppc")
     assert code == 1 and out == ""
     assert err.startswith("modone: error:") and err.count("\n") == 1
+    assert needle in err, err
     if "n=0" not in body:
         assert "bad_points.csv" in err
 

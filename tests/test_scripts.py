@@ -27,3 +27,14 @@ def test_reproduce_conditions_claims_pass():
     spec.loader.exec_module(reproduce)
     claims = list(reproduce.conditions())
     assert len(claims) == 3 and all(ok for ok, _ in claims), claims
+
+
+def test_python_m_modone_runs_the_cli(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "pts.txt"
+    proc = subprocess.run([sys.executable, "-m", "modone", "gen", "--kind", "arithmetic",
+                           "--alpha", "0.5", "--n", "10", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes().startswith(b"# modone-points v1 n=10\n")
