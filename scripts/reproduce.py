@@ -24,10 +24,9 @@ import numpy as np
 from modone import (CorrelationWindow, GOLDEN_ALPHA, GeneratorConfig,
                     LIOUVILLE_ALPHA, ScaleFunction, TrialPlan,
                     arithmetic_sequence, check_g_conditions, converse_experiment,
-                    converse_schedule, convergents, derive_trial,
-                    dilated_density_l2, discrepancy_profile, energy_certificate,
-                    gap_distribution, gen_theorem1, reduce_scaled, run_trials,
-                    subsequence_check)
+                    converse_schedule, convergents, density_l2, derive_trial,
+                    discrepancy_profile, energy_certificate, gap_distribution,
+                    gen_theorem1, reduce_scaled, run_trials, subsequence_check)
 
 SEED = 20_260_808   # windows; SEED + 1 the gaps, SEED + 2 the energy
 CONVERSE_SEED = 101  # the control takes CONVERSE_SEED + 1
@@ -84,11 +83,11 @@ def counterexample():
                               sched.n_values, 20, CONVERSE_SEED)
     control = converse_experiment(GeneratorConfig(kind="theorem1", c=1.0), LIOUVILLE_ALPHA,
                                   sched.n_values, 20, CONVERSE_SEED + 1)
-    # the base points n replaced by the rational orbit n p/q: the local
-    # statistics at scale 1/N are unchanged by that at the schedule sizes
+    # the dilated centres alpha n replaced by the rational orbit n p/q: the
+    # local statistics at scale 1/N are unchanged by that at the schedule sizes
     cv = {c.q: c for c in convergents(LIOUVILLE_ALPHA, max(sched.q_values))}
-    widths = ScaleFunction.power_log(0.5)
-    l2 = [dilated_density_l2(arithmetic_sequence(cv[q].p / q, n), widths, LIOUVILLE_ALPHA)
+    converse = GeneratorConfig(kind="converse", c=0.5)
+    l2 = [density_l2(arithmetic_sequence(cv[q].p / q, n), converse.model(n, LIOUVILLE_ALPHA)[1])
           for n, q in zip(sched.n_values, sched.q_values)]
     yield (sched.complete and rep.max_ratio >= 1.2
            and all(0.95 <= r <= 1.05 for r in control.ratios),

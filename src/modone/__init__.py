@@ -16,8 +16,7 @@ from .density import (density_l2, expected_pair_correlation,
 from .experiments import (ConverseReport, EnergyCertificate, GConditionReport,
                           GeneratorConfig, StatSummary, SubsequenceReport,
                           TrialPlan, check_g_conditions, converse_experiment,
-                          derive_trial, dilated_density_l2, energy_certificate,
-                          run_trials, subsequence_check)
+                          derive_trial, energy_certificate, run_trials, subsequence_check)
 from .io import ResultRecord, plan_from_json, read_points, write_points
 
 __version__ = "0.1.0"

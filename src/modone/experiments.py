@@ -11,10 +11,9 @@ from typing import Optional
 
 import numpy as np
 
-from .density import density_l2
-from .generators import (WIDTH_CAP, ScaleFunction, gen_base, gen_converse,
-                         gen_theorem1, perturb)
-from .seqcore import RealSequence, _is_int, _is_real
+from .generators import (_CONSTRUCTIONS, WIDTH_CAP, ScaleFunction, arithmetic_sequence,
+                         gen_base, gen_converse, gen_theorem1, perturb)
+from .seqcore import RealSequence, _is_int, _is_real, scale_by_alpha
 from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
                     additive_energy, check_k_level_window, check_pair_window,
                     k_level_correlation, pair_correlation, reduce_scaled)
@@ -23,7 +22,7 @@ from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
 # the one parameter each GeneratorConfig kind takes: the base sequences, then
 # the two perturbed constructions
 _BASE_PARAMETER = {"arithmetic": "alpha", "power": "theta", "van_der_corput": "base"}
-_KIND_PARAMETER = {**_BASE_PARAMETER, "theorem1": "c", "converse": "c"}
+_KIND_PARAMETER = {**_BASE_PARAMETER, **dict.fromkeys(_CONSTRUCTIONS, "c")}
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,25 @@ class GeneratorConfig:
             seq = perturb(seq, self.scale, seed)
         return seq
 
+    def model(self, n: int, alpha: float) -> tuple[RealSequence, Optional[ScaleFunction]]:
+        """`build`'s model dilated by alpha: the centres alpha x_n, n = 1..N, and a table
+        of the widths |alpha| g(n), at most WIDTH_CAP (None for an unperturbed kind)."""
+        if self.kind in _CONSTRUCTIONS:
+            step, family = _CONSTRUCTIONS[self.kind]
+            base, scale = arithmetic_sequence(step, n), family(self.c)
+        else:
+            base = gen_base(self.kind, n, alpha=self.alpha, theta=self.theta, base=self.base)
+            scale = self.scale
+        centres = scale_by_alpha(base, alpha)
+        if scale is None:
+            return centres, None
+        widths = abs(alpha) * scale.eval(np.arange(1, n + 1))
+        if np.any(widths > WIDTH_CAP):
+            k = int(np.argmax(widths > WIDTH_CAP))
+            raise ValueError(f"dilated width {widths[k]:g} at n={k + 1}, alpha={alpha:g} "
+                             f"exceeds {WIDTH_CAP}")
+        return centres, ScaleFunction.table(widths)
+
 
 def _value_bound(gen: GeneratorConfig, n: int) -> float:
     """An upper bound on |x_k| for k <= n over the sequences gen builds."""
@@ -88,8 +106,8 @@ def _value_bound(gen: GeneratorConfig, n: int) -> float:
     elif gen.kind == "van_der_corput":
         bound = 1.0
     else:
-        bound = 2.0 * n if gen.kind == "theorem1" else float(n)
-    perturbed = gen.scale is not None or gen.kind in ("theorem1", "converse")
+        bound = _CONSTRUCTIONS[gen.kind][0] * n
+    perturbed = gen.scale is not None or gen.kind in _CONSTRUCTIONS
     return bound + WIDTH_CAP if perturbed else bound
 
 
@@ -392,16 +410,3 @@ def subsequence_check(summary: StatSummary) -> SubsequenceReport:
         thresholds=thr,
         within=within,
     )
-
-
-# ---------------------------------------------------------------------------
-# density diagnostics used by the experiment scripts
-
-
-def dilated_density_l2(base: RealSequence, family: ScaleFunction, alpha: float) -> float:
-    """Exact second moment of the perturbation density of `base` with the
-    widths of `family` dilated by alpha. The well-spaced construction takes
-    base (2 alpha) n with the beck family; the counterexample takes the
-    rational orbit n p/q with the power_log family."""
-    widths = alpha * np.asarray(family.eval(np.arange(1, base.n + 1)))
-    return density_l2(base, ScaleFunction.table(widths))

@@ -108,6 +108,9 @@ class ScaleFunction:
 # The parameter of each width family; the family's constructor carries its name.
 _SCALE_PARAMETER = {"beck": "c", "power_log": "c", "constant": "g0", "table": "values"}
 
+# The two constructions: the step of each one's arithmetic base, and its width family.
+_CONSTRUCTIONS = {"theorem1": (2.0, ScaleFunction.beck), "converse": (1.0, ScaleFunction.power_log)}
+
 
 def perturb(base: RealSequence, scale: ScaleFunction, seed: int) -> RealSequence:
     """x_n + z_n with i.i.d. shifts z_n ~ Unif[-g(n), g(n)].
@@ -116,6 +119,8 @@ def perturb(base: RealSequence, scale: ScaleFunction, seed: int) -> RealSequence
     seed, so z_n depends on (seed, n) only: prefixes agree for every N >= n,
     matching a single infinite random sequence.
     """
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed {seed} is outside [0, 2**128)")
     u = np.random.Generator(np.random.Philox(key=seed)).random(base.n)
     g = np.asarray(scale.eval(np.arange(1, base.n + 1)), dtype=np.float64)
     return RealSequence(base.values + (u * (2.0 * g) - g))
@@ -126,6 +131,8 @@ def arithmetic_sequence(alpha: float, n: int) -> RealSequence:
         raise ValueError("alpha must be nonzero")
     if n < 1:
         raise ValueError("need n >= 1")
+    if not math.isfinite(alpha * n):
+        raise ValueError(f"alpha={alpha:g} times n={n} is past the float64 range")
     return RealSequence(alpha * np.arange(1, n + 1, dtype=np.float64))
 
 
@@ -134,7 +141,12 @@ def power_sequence(theta: float, n: int) -> RealSequence:
         raise ValueError("need theta > 0")
     if n < 1:
         raise ValueError("need n >= 1")
-    return RealSequence(np.arange(1, n + 1, dtype=np.float64) ** theta)
+    try:
+        if math.isfinite(float(n) ** theta):
+            return RealSequence(np.arange(1, n + 1, dtype=np.float64) ** theta)
+    except OverflowError:
+        pass
+    raise ValueError(f"n={n} to the power theta={theta:g} is past the float64 range")
 
 
 def van_der_corput(base: int, n: int) -> RealSequence:
@@ -179,14 +191,16 @@ def gen_base(kind: str, n: int, *, alpha: float = None, theta: float = None,
 def gen_theorem1(c: float, n: int, seed: int) -> RealSequence:
     """Well-spaced construction: x_n = 2n + z_n with the beck width family. The
     width cap keeps every gap at least 2 - 2*0.45 = 1.1, for every seed."""
-    return perturb(arithmetic_sequence(2.0, n), ScaleFunction.beck(c), seed)
+    step, family = _CONSTRUCTIONS["theorem1"]
+    return perturb(arithmetic_sequence(step, n), family(c), seed)
 
 
 def gen_converse(c: float, n: int, seed: int) -> RealSequence:
     """Counterexample construction: x_n = n + z_n with power_log widths, 0 < c <= 1/2."""
     if not 0 < c <= 0.5:
         raise ValueError("need 0 < c <= 1/2")
-    return perturb(arithmetic_sequence(1.0, n), ScaleFunction.power_log(c), seed)
+    step, family = _CONSTRUCTIONS["converse"]
+    return perturb(arithmetic_sequence(step, n), family(c), seed)
 
 
 @dataclass(frozen=True)

@@ -123,17 +123,15 @@ def test_criterion_05_variance_bound():
 def test_criterion_06_expectation_identity():
     n = 10_000
     _, alpha = derive_trial(666, 0, ("uniform", 1.0, 2.0))
-    base = arithmetic_sequence(2.0 * alpha, n)
-    widths = alpha * np.asarray(ScaleFunction.beck(1.0).eval(np.arange(1, n + 1)))
-    scale = ScaleFunction.table(widths)
-    value, bound = expected_pair_correlation(base, scale, 1.0)
+    generator = GeneratorConfig(kind="theorem1", c=1.0)
+    value, bound = expected_pair_correlation(*generator.model(n, alpha), 1.0)
     plan = TrialPlan(
-        generator=GeneratorConfig(kind="arithmetic", alpha=2.0 * alpha, scale=scale),
+        generator=generator,
         n_schedule=(n,),
         windows=(CorrelationWindow.pair(1.0),),
         trials=50,
         master_seed=666_001,
-        alpha_mode=("fixed", 1.0),
+        alpha_mode=("fixed", alpha),
     )
     summary = run_trials(plan)
     mean = summary.means[0, 0]

@@ -514,6 +514,33 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     assert code == 0 and out and time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("--kind", "power", "--theta", "1000"),
+     "n=10 to the power theta=1000 is past the float64 range"),
+    (("--kind", "arithmetic", "--alpha", "1e308"),
+     "alpha=1e+308 times n=10 is past the float64 range"),
+    (("--kind", "arithmetic", "--alpha=-1e308"),
+     "alpha=-1e+308 times n=10 is past the float64 range"),
+    (("--kind", "theorem1", "--c", "1", "--seed", "-1"), "seed -1 is outside [0, 2**128)"),
+    (("--kind", "converse", "--c", "0.5", "--seed", str(2**128)),
+     f"seed {2**128} is outside [0, 2**128)"),
+])
+def test_gen_refuses_values_past_float64_and_seeds_past_philox(tmp_path, capsys, argv, needle):
+    # pytest turns numpy's overflow warning into an error, so a warning exits 2
+    pts = tmp_path / "x.pts"
+    code, out, err = run(capsys, "gen", *argv, "--n", "10", "--out", str(pts))
+    assert (code, out, err) == (1, "", f"modone: error: {needle}\n")
+    assert not pts.exists()
+
+
+def test_gen_takes_the_largest_seed(tmp_path, capsys):
+    pts = tmp_path / "x.pts"
+    code, _, err = run(capsys, "gen", "--kind", "theorem1", "--c", "1", "--n", "10",
+                       "--seed", str(2**128 - 1), "--out", str(pts))
+    assert code == 0 and err == ""
+    assert read_points(pts).shape == (10,)
+
+
 def test_stat_rejects_non_finite_points(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     pts.write_text("# modone-points v1 n=3\n0.1\nnan\n0.3\n")

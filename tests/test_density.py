@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modone import (RealSequence, ScaleFunction, arithmetic_sequence,
+from modone import (GeneratorConfig, RealSequence, ScaleFunction,
                     density_l2, expected_pair_correlation, expected_window_count,
                     frac_reduce, pair_correlation, perturb,
                     perturbation_density, sweep_density_integrals)
@@ -247,9 +247,7 @@ def pinned_pair_configs():
     widths = 0.005 + 0.05 * np.random.Generator(np.random.Philox(key=7)).random(64)
     yield (RealSequence(np.arange(64) / 64.0 * 3.0), ScaleFunction.table(widths), 0.75,
            1.569914321755498)
-    alpha, n = 1.4142135623730951, 10_000
-    beck = np.asarray(ScaleFunction.beck(1.0).eval(np.arange(1, n + 1)))
-    yield (arithmetic_sequence(2.0 * alpha, n), ScaleFunction.table(alpha * beck), 1.0,
+    yield (*GeneratorConfig(kind="theorem1", c=1.0).model(10_000, 1.4142135623730951), 1.0,
            2.00014887368713)
     points = np.sort(np.random.Generator(np.random.Philox(key=11)).random(50))
     yield RealSequence(points), ScaleFunction.constant(1e-9), 1.0, 2.7599999893229556

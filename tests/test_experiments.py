@@ -5,9 +5,11 @@ from numpy.testing import assert_array_equal
 from modone import (CorrelationWindow, GOLDEN_ALPHA, GeneratorConfig,
                     LIOUVILLE_ALPHA, RealSequence, ScaleFunction, TrialPlan,
                     arithmetic_sequence, check_g_conditions,
-                    converse_experiment, derive_trial, dilated_density_l2,
+                    converse_experiment, density_l2, derive_trial,
                     discrepancy_profile, energy_certificate, frac_reduce,
-                    gen_base, pair_correlation, run_trials, subsequence_check)
+                    gen_base, pair_correlation, perturb, run_trials, scale_by_alpha,
+                    subsequence_check)
+from modone.experiments import _BASE_PARAMETER
 
 from oracles import brute_energy_count
 
@@ -177,6 +179,69 @@ def test_mixed_windows_match_individual_statistics(rng):
 
 
 # ---------------------------------------------------------------------------
+# the perturbation model
+
+MODEL_CONFIGS = [
+    GeneratorConfig(kind="theorem1", c=1.0),
+    GeneratorConfig(kind="converse", c=0.5),
+    GeneratorConfig(kind="arithmetic", alpha=GOLDEN_ALPHA),
+    GeneratorConfig(kind="arithmetic", alpha=-0.7, scale=ScaleFunction.constant(0.2)),
+    GeneratorConfig(kind="power", theta=1.5),
+    GeneratorConfig(kind="power", theta=1.5, scale=ScaleFunction.power_log(1.0)),
+    GeneratorConfig(kind="van_der_corput", base=3),
+    GeneratorConfig(kind="van_der_corput", base=2, scale=ScaleFunction.beck(1.0)),
+    GeneratorConfig(kind="van_der_corput", base=5,
+                    scale=ScaleFunction.table(np.linspace(0.0, 0.3, 300))),
+]
+MODEL_IDS = [f"{g.kind}-{g.scale.family}" if g.scale else g.kind for g in MODEL_CONFIGS]
+
+
+def _bits(seq):
+    return seq.values.view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+@pytest.mark.parametrize("config", MODEL_CONFIGS, ids=MODEL_IDS)
+def test_build_perturbs_the_model_at_alpha_one(config, seed):
+    n = 300
+    centres, widths = config.model(n, 1.0)
+    built = config.build(n, seed)
+    assert (widths is None) == (config.scale is None and config.kind in _BASE_PARAMETER)
+    if widths is None:
+        assert_array_equal(_bits(centres), _bits(built))
+    else:
+        assert_array_equal(_bits(perturb(centres, widths, seed)), _bits(built))
+
+
+@pytest.mark.parametrize("alpha", [LIOUVILLE_ALPHA, -1.5])
+@pytest.mark.parametrize("config", MODEL_CONFIGS, ids=MODEL_IDS)
+def test_model_dilates_the_centres_and_widths(config, alpha):
+    n = 300
+    base, widths = config.model(n, 1.0)
+    centres, dilated = config.model(n, alpha)
+    assert_array_equal(_bits(centres), _bits(scale_by_alpha(base, alpha)))
+    if widths is None:
+        assert dilated is None
+    else:
+        assert_array_equal(dilated.values, abs(alpha) * widths.values)
+
+
+def test_model_refuses_dilated_widths_past_the_cap():
+    config = GeneratorConfig(kind="arithmetic", alpha=1.0, scale=ScaleFunction.constant(0.3))
+    for alpha in (2.0, -2.0):
+        with pytest.raises(ValueError,
+                           match=rf"^dilated width 0\.6 at n=1, alpha={alpha:g} exceeds 0\.45$"):
+            config.model(10, alpha)
+    assert config.model(10, 1.5)[1].eval(10) == 0.3 * 1.5
+    at_cap = GeneratorConfig(kind="arithmetic", alpha=1.0, scale=ScaleFunction.constant(0.45))
+    assert at_cap.model(10, -1.0)[1].eval(10) == 0.45
+    # the first index past the cap is the one named
+    table = GeneratorConfig(kind="power", theta=1.0, scale=ScaleFunction.table([0.1, 0.2, 0.4]))
+    with pytest.raises(ValueError, match=r"width 0\.6 at n=3, alpha=1\.5 "):
+        table.model(3, 1.5)
+
+
+# ---------------------------------------------------------------------------
 # regularity conditions
 
 def test_conditions_constant_family_trivial_flags():
@@ -294,8 +359,8 @@ def test_subsequence_check_needs_three_points():
 
 def test_density_l2_decreases_for_wellspaced_construction():
     _, alpha = derive_trial(888, 0, ("uniform", 1.0, 2.0))
-    vals = [dilated_density_l2(arithmetic_sequence(2.0 * alpha, n), ScaleFunction.beck(1.0), alpha)
-            for n in (1000, 10_000, 100_000)]
+    theorem1 = GeneratorConfig(kind="theorem1", c=1.0)
+    vals = [density_l2(*theorem1.model(n, alpha)) for n in (1000, 10_000, 100_000)]
     assert vals[0] > vals[1] > vals[2] >= 1.0
 
 
@@ -306,8 +371,8 @@ def test_density_l2_stays_concentrated_for_converse_orbit():
     cv = {c.q: c for c in convergents(LIOUVILLE_ALPHA, max(sched.q_values))}
     # first schedule point is enough to exercise the rational-orbit pileup
     n, q = sched.n_values[0], sched.q_values[0]
-    l2 = dilated_density_l2(arithmetic_sequence(cv[q].p / q, n), ScaleFunction.power_log(0.5),
-                            LIOUVILLE_ALPHA)
+    widths = GeneratorConfig(kind="converse", c=0.5).model(n, LIOUVILLE_ALPHA)[1]
+    l2 = density_l2(arithmetic_sequence(cv[q].p / q, n), widths)
     assert l2 >= 1.1
 
 

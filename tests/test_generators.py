@@ -141,6 +141,13 @@ def test_gen_base_validation():
         arithmetic_sequence(1.0, 0)
     with pytest.raises(ValueError):
         gen_base("unknown", 3)
+    # the last value decides, before any array is computed
+    for make, param in [(arithmetic_sequence, 1e308), (arithmetic_sequence, -1e308),
+                        (power_sequence, 1000.0), (power_sequence, math.inf)]:
+        with pytest.raises(ValueError, match="n=10 .* past the float64 range"):
+            make(param, 10)
+    assert power_sequence(1000.0, 1).values.tolist() == [1.0]
+    assert arithmetic_sequence(1e308, 1).values.tolist() == [1e308]
 
 
 # ---------------------------------------------------------------------------
