@@ -27,6 +27,7 @@ from modone import (CorrelationWindow, GOLDEN_ALPHA, GeneratorConfig,
                     converse_schedule, convergents, density_l2, derive_trial,
                     discrepancy_profile, energy_certificate, gap_distribution,
                     gen_theorem1, reduce_scaled, run_trials, subsequence_check)
+from modone.cli import _keep_freed_memory
 
 SEED = 20_260_808   # windows; SEED + 1 the gaps, SEED + 2 the energy
 CONVERSE_SEED = 101  # the control takes CONVERSE_SEED + 1
@@ -116,6 +117,7 @@ def conditions():
 
 def main() -> int:
     argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
+    _keep_freed_memory()   # the heap policy of the CLI, for the same trial loops
     all_pass = True
     for claims in (well_spaced, counterexample, conditions):
         for ok, text in claims():

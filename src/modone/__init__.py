@@ -10,7 +10,7 @@ from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
                     GapDistribution, additive_energy, discrepancy,
                     discrepancy_profile, gap_distribution, k_level_correlation,
                     pair_correlation, pair_correlation_count, reduce_scaled)
-from .density import (density_l2, expected_pair_correlation,
+from .density import (density_l2, expected_pair_correlation, expected_pair_mean,
                       expected_window_count, perturbation_density,
                       sweep_density_integrals)
 from .experiments import (ConverseReport, EnergyCertificate, GConditionReport,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error (single-line diagnostic on stderr),
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 import time
 
@@ -22,6 +23,25 @@ from .stats import (CorrelationWindow, additive_energy, discrepancy,
 
 class _CliError(Exception):
     pass
+
+
+def _keep_freed_memory() -> None:
+    """Start glibc's heap at the thresholds its dynamic rule would learn.
+
+    glibc raises the thresholds only to the largest block freed so far, so a
+    trial plan's N-sized arrays would be trimmed from each arena after every
+    call and faulted back in by the next. Setting either threshold turns the rule
+    off and leaves the other at its low default, so both are set. A no-op
+    where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    # the ceilings of the dynamic rule on 64-bit: DEFAULT_MMAP_THRESHOLD_MAX,
+    # and twice that for trimming
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +60,8 @@ def _build_parser() -> _Parser:
     g.add_argument("--base", type=int, default=2, help="radix for --kind van_der_corput")
     g.add_argument("--c", type=float, help="width parameter for theorem1/converse")
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, help="required for the perturbed kinds")
+    g.add_argument("--seed", type=int,
+                   help="required by the perturbed kinds, refused by the others")
     g.add_argument("--out", dest="points", required=True)
     g.set_defaults(run=_cmd_gen)
 
@@ -115,6 +136,8 @@ def _generator(args) -> GeneratorConfig:
 def _cmd_gen(args) -> list:
     if args.kind not in _BASE_PARAMETER and args.seed is None:
         raise _CliError(f"--kind {args.kind} requires --seed")
+    if args.kind in _BASE_PARAMETER and args.seed is not None:
+        raise _CliError(f"--kind {args.kind} is not random and takes no --seed")
     seq = _generator(args).build(args.n, args.seed or 0)
     mio.write_points(args.points, seq.values)
     return []
@@ -227,6 +250,7 @@ def _cmd_check(args) -> list:
 
 
 def run_cli(argv=None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

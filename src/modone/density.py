@@ -175,3 +175,22 @@ def expected_pair_correlation(base: RealSequence, scale: ScaleFunction,
     g_n = float(scale.eval(n))
     error_bound = s / (n * g_n)
     return total / n, error_bound
+
+
+def expected_pair_mean(base: RealSequence, scale: ScaleFunction, s: float) -> float:
+    """Exact expectation of the pair statistic of the perturbed sequence: the
+    integral of expected_pair_correlation less the self pairs it counts,
+    (1/N) sum_n P(|z - z'| < w) for independent z, z' ~ U[-g(n), g(n)] and
+    w = s/N. That probability is 1 - (1 - w/(2 g(n)))^2 for w <= 2 g(n) and
+    1 beyond. Refuses w > 1 - 2 g(n), where z - z' could also wrap round the
+    circle into the window.
+    """
+    value, _ = expected_pair_correlation(base, scale, s)
+    w = s / base.n
+    _, widths = _boxes(base, scale)
+    room = 1.0 - 2.0 * float(np.max(widths))
+    if w > room:
+        raise ValueError(f"window s/N = {w:g} exceeds 1 - 2 g(n) = {room:g}, where "
+                         "the difference of a point's own shifts wraps round the circle")
+    self_pairs = 1.0 - np.square(np.maximum(1.0 - w / (2.0 * widths), 0.0))
+    return value - float(np.mean(self_pairs))

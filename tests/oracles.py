@@ -157,6 +157,31 @@ def riemann_h_rho(base, scale, s, cells):
                          * brute_density(base, scale, xs)))
 
 
+def pair_mean_oracle(centers, widths, s):
+    """Expected pair statistic of the points c_n + z_n, z_n ~ U[-g_n, g_n]
+    independent: (1/N) sum over ordered pairs m != n of the probability that
+    d + z_m - z_n lies within s/N of an integer, d = c_m - c_n mod 1. Each
+    probability is E[F_m(b - d + z_n) - F_m(a - d + z_n)] for the CDF F_m of
+    z_m, integrated in closed form through the antiderivative of F_m."""
+    n = len(centers)
+    w = s / n
+
+    def ramp(x, g):   # integral of the U[-g, g] CDF over (-inf, x]
+        return 0.0 if x <= -g else (x + g) ** 2 / (4 * g) if x <= g else x
+
+    def below(c, gm, gn):   # P(z_m - z_n < c)
+        return (ramp(c + gn, gm) - ramp(c - gn, gm)) / (2 * gn)
+
+    total = 0.0
+    for m in range(n):
+        for k in range(n):
+            if m != k:
+                d = (centers[m] - centers[k]) % 1.0
+                total += sum(below(j + w - d, widths[m], widths[k])
+                             - below(j - w - d, widths[m], widths[k]) for j in (-1, 0, 1, 2))
+    return total / n
+
+
 def frac_part_mod(values):
     """Fractional part by np.mod, with the values that round to 1.0 mapped to 0.0."""
     r = np.mod(np.asarray(values, dtype=np.float64), 1.0)

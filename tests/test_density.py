@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modone import (GeneratorConfig, RealSequence, ScaleFunction,
-                    density_l2, expected_pair_correlation, expected_window_count,
-                    frac_reduce, pair_correlation, perturb,
+                    density_l2, expected_pair_correlation, expected_pair_mean,
+                    expected_window_count, frac_reduce, pair_correlation, perturb,
                     perturbation_density, sweep_density_integrals)
 
-from oracles import (brute_density, brute_window_count, riemann_density_l2,
-                     riemann_h_rho)
+from oracles import (brute_density, brute_window_count, pair_mean_oracle,
+                     riemann_density_l2, riemann_h_rho)
 
 
 def tiling_base():
@@ -256,6 +256,26 @@ def pinned_pair_configs():
 def test_expected_pair_pinned_values():
     for base, g, s, want in pinned_pair_configs():
         assert expected_pair_correlation(base, g, s)[0] == pytest.approx(want, rel=1e-9)
+
+
+def test_expected_pair_mean_matches_closed_form_oracle(rng):
+    # widths on both sides of w/2 = s/(2N), so both branches of the self term run
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            base = RealSequence(rng.random(n) * 3)
+            widths = np.exp(rng.uniform(np.log(1e-3), np.log(0.3), n))
+            s = rng.uniform(0.05, 0.5 * n * (1 - 2 * widths.max()))
+            want = pair_mean_oracle(base.values, widths, s)
+            got = expected_pair_mean(base, ScaleFunction.table(widths), s)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (n, s)
+
+
+def test_expected_pair_mean_refuses_the_wrap():
+    base = RealSequence([0.1, 0.6])
+    with pytest.raises(ValueError, match=r"^window s/N = 0\.25 exceeds 1 - 2 g\(n\) = 0\.2, "):
+        expected_pair_mean(base, ScaleFunction.constant(0.4), 0.5)
+    assert expected_pair_mean(base, ScaleFunction.constant(0.4), 0.3) == pytest.approx(
+        pair_mean_oracle(base.values, [0.4, 0.4], 0.3), rel=1e-9)
 
 
 def test_expected_pair_window_validation():

@@ -84,6 +84,18 @@ def test_plan_rejects_windows_too_wide_for_smallest_n(n_schedule, window, messag
         small_plan(n_schedule=n_schedule, windows=(window,))
 
 
+def test_plan_refuses_a_given_width_past_the_cap():
+    # eval caps every width, so a constant or table width above the cap would run capped
+    for scale, text in ((ScaleFunction.constant(0.7), "constant width 0.7"),
+                        (ScaleFunction.table([0.1] * 199 + [0.5]), "table width 0.5")):
+        with pytest.raises(ValueError, match=f"^{text} exceeds 0.45$"):
+            small_plan(generator=GeneratorConfig(kind="arithmetic", alpha=1.0, scale=scale))
+    # beck clamps small n through the cap; a table may pass it beyond the largest N
+    for scale in (ScaleFunction.constant(0.45), ScaleFunction.beck(50.0),
+                  ScaleFunction.table([0.1] * 200 + [0.9])):
+        small_plan(generator=GeneratorConfig(kind="arithmetic", alpha=1.0, scale=scale))
+
+
 def test_single_trial_identity_with_direct_statistic():
     plan = small_plan()
     summary = run_trials(plan)
