@@ -163,11 +163,13 @@ def _cmd_stat(args) -> list:
         raise _CliError("--energy requires --gamma")
     seq = RealSequence(mio.read_points(args.infile))
     pts = frac_reduce(seq)
+    if not (args.profile or args.energy):
+        seq = None   # only the profile and the energy read the raw values
     records = []
 
     def record(statistic, value, wall_time_ms, window=None):
         records.append(mio.ResultRecord(command="stat", statistic=statistic, value=float(value),
-                                        n=seq.n, window=window, wall_time_ms=wall_time_ms))
+                                        n=pts.n, window=window, wall_time_ms=wall_time_ms))
 
     if args.ppc:
         v, ms = _timed(pair_correlation, pts, args.s)
@@ -221,6 +223,7 @@ def _cmd_check(args) -> list:
 
         def report():
             seq = config.build(args.n, 0)
+            scale.check_cap(args.n)
             return check_g_conditions(
                 scale, discrepancy_profile(seq, grid="geometric", ratio=args.ratio))
 

@@ -156,13 +156,8 @@ class TrialPlan:
         object.__setattr__(self, "windows", tuple(self.windows))
         if not self.windows:
             raise ValueError("windows must be nonempty")
-        scale = self.generator.scale
-        if scale is not None:
-            scale.eval(ns[-1])   # a width table must reach the largest N
-            # eval caps every width; only beck and power_log (g0 = 0) clamp through it
-            widest = np.max(scale.values[:ns[-1]]) if scale.family == "table" else scale.g0
-            if widest > WIDTH_CAP:
-                raise ValueError(f"{scale.family} width {widest:g} exceeds {WIDTH_CAP}")
+        if self.generator.scale is not None:
+            self.generator.scale.check_cap(ns[-1])
         # both checks only tighten as N shrinks, so the smallest N decides
         for w in self.windows:
             try:

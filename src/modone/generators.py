@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .seqcore import RealSequence, _is_real
+from .seqcore import RealSequence, _blocks, _is_real
 
 # Width functions are clamped below this index: log log n is undefined or
 # negative up to e^e ~ 15.15, and the asymptotic hypotheses only constrain the tail.
@@ -104,6 +104,14 @@ class ScaleFunction:
             return float(out)
         return out
 
+    def check_cap(self, n: int) -> None:
+        """Raise ValueError if a given width up to index n exceeds WIDTH_CAP.
+        eval caps every width; only beck and power_log (g0 = 0) clamp through it."""
+        self.eval(n)   # a width table must reach n
+        widest = np.max(self.values[:n]) if self.family == "table" else self.g0
+        if widest > WIDTH_CAP:
+            raise ValueError(f"{self.family} width {widest:g} exceeds {WIDTH_CAP}")
+
 
 # The parameter of each width family; the family's constructor carries its name.
 _SCALE_PARAMETER = {"beck": "c", "power_log": "c", "constant": "g0", "table": "values"}
@@ -117,13 +125,17 @@ def perturb(base: RealSequence, scale: ScaleFunction, seed: int) -> RealSequence
 
     The shifts come from a counter-based generator (Philox) keyed by the
     seed, so z_n depends on (seed, n) only: prefixes agree for every N >= n,
-    matching a single infinite random sequence.
+    matching a single infinite random sequence. They are added to one copy of
+    the base a block at a time; Philox's stream splits across calls exactly.
     """
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed {seed} is outside [0, 2**128)")
-    u = np.random.Generator(np.random.Philox(key=seed)).random(base.n)
-    g = np.asarray(scale.eval(np.arange(1, base.n + 1)), dtype=np.float64)
-    return RealSequence(base.values + (u * (2.0 * g) - g))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    out = base.values.copy()
+    for b in _blocks(base.n):
+        g = scale.eval(np.arange(b.start + 1, b.stop + 1))
+        out[b] += rng.random(b.stop - b.start) * (2.0 * g) - g
+    return RealSequence(out)
 
 
 def arithmetic_sequence(alpha: float, n: int) -> RealSequence:

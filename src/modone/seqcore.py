@@ -17,6 +17,15 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+# the length of the blocks over which elementwise chains run: 512 KiB of float64
+_BLOCK = 1 << 16
+
+
+def _blocks(n: int):
+    """The slices of consecutive blocks of at most _BLOCK indices that cover range(n)."""
+    return (slice(a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK))
+
+
 def _as_float_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -64,7 +73,7 @@ class TorusPoints:
 
     def __post_init__(self):
         arr = _as_float_array(self.points)
-        if arr.size > 1 and np.any(np.diff(arr) < 0):
+        if np.any(arr[1:] < arr[:-1]):
             raise ValueError("torus points must be sorted ascending")
         if arr[0] < 0.0 or arr[-1] >= 1.0:
             raise ValueError("torus points must lie in [0, 1)")
@@ -91,7 +100,9 @@ def frac_part(values) -> np.ndarray:
 
 def frac_reduce(seq: RealSequence) -> TorusPoints:
     """Reduce a raw sequence modulo 1 and sort; ties are kept as duplicates."""
-    return TorusPoints(np.sort(frac_part(seq.values)))
+    r = frac_part(seq.values)   # a new array, sorted in place
+    r.sort()
+    return TorusPoints(r)
 
 
 def scale_by_alpha(seq: RealSequence, alpha: float) -> RealSequence:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import (RealSequence, TorusPoints, _is_int, _is_real, frac_part,
-                      frac_reduce, scale_by_alpha)
+from .seqcore import (RealSequence, TorusPoints, _blocks, _is_int, _is_real,
+                      frac_part, frac_reduce, scale_by_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +33,12 @@ def check_pair_window(s: float, n: int) -> None:
         raise ValueError("window s/N must be smaller than half the circle")
 
 
-def _rank(y2: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
-    """np.searchsorted(y2, v, side) for the sorted y2 = [y, y + 1] of N points
-    and one query v[i] per anchor i, fast when most ranks lie near i.
+def _rank(y: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(y2, v, side) - i for the sorted y2 = [y, y + 1] of the
+    N points y and one query v[i] per anchor i, fast when most ranks lie near
+    i; int32 while 4N < 2**31, so sums and differences of two stay exact. y2
+    is never built: y + 1 is rounded, as y2 would hold it, only for the points
+    that a pass or a fallback search can reach.
 
     The rank starts at i. Forward pass k adds y2[i + k] < v[i] (<= for side
     "right") and backward pass k subtracts y2[i - k] >= v[i] (> for "right").
@@ -58,6 +61,7 @@ def _rank(y2: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
     bits = mask.view(np.int8)
     step = np.zeros(n, dtype=np.int8)
     rest = []
+    head = y[:passes] + 1.0
 
     def settled(m: np.ndarray, first: int, last: bool) -> bool:
         # m[j] is anchor first + j's mask in the latest pass
@@ -69,21 +73,27 @@ def _rank(y2: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
         return True
 
     for k in range(passes):
-        ahead(y2[k:k + n], v, out=mask)
+        ahead(y[k:], v[:n - k], out=mask[:n - k])
+        ahead(head[:k], v[n - k:], out=mask[n - k:])
         step += bits
         if settled(mask, 0, k == passes - 1):
             break
     # anchor i runs out of backward passes at k = i, where rank 0 is exact
     for k in range(1, min(passes, n - 1) + 1):
         m = mask[:n - k]
-        behind(y2[:n - k], v[k:], out=m)
+        behind(y[:n - k], v[k:], out=m)
         step[k:] -= bits[:n - k]
         if settled(m, k, k == passes):
             break
-    r = np.arange(n)
-    r += step
-    for idx in rest:
-        r[idx] = np.searchsorted(y2, v[idx], side=side)
+    r = step.astype(np.int32 if n < 2**29 else np.int64)
+    if rest:
+        # every y[j] + 1 <= top has y[j] < top - 1 + 2 ulp(top); more do no harm
+        top = v.max()
+        upper = y[:np.searchsorted(y, top - 1.0 + 2.0 * np.spacing(top), side="right")] + 1.0
+        for idx in rest:
+            for b in _blocks(idx.size):
+                i, q = idx[b], v[idx[b]]
+                r[i] = np.searchsorted(y, q, side=side) + np.searchsorted(upper, q, side=side) - i
     return r
 
 
@@ -97,11 +107,11 @@ def pair_correlation_count(pts: TorusPoints, s: float) -> int:
     n = pts.n
     check_pair_window(s, n)
     y = pts.points
-    y2 = np.concatenate([y, y + 1.0])
-    # for each i, forward neighbours j with y2[j] - y[i] < s/N; each unordered
-    # pair is seen exactly once because s/N < 1/2
-    hi = _rank(y2, y + s / n, "left")
-    return 2 * int(np.sum(np.maximum(hi - np.arange(1, n + 1), 0)))
+    # for each i, forward neighbours j with y2[j] - y[i] < s/N, at offsets
+    # 1 .. hi - 1 from i; each unordered pair is seen exactly once because s/N < 1/2
+    hi = _rank(y, y + s / n, "left")
+    hi -= 1
+    return 2 * int(np.sum(np.maximum(hi, 0, out=hi)))
 
 
 def pair_correlation(pts: TorusPoints, s: float) -> float:
@@ -172,16 +182,17 @@ def check_k_level_window(window: CorrelationWindow, n: int) -> None:
             raise ValueError("window width per coordinate must stay below half the circle")
 
 
-def _arc_counts(y2: np.ndarray, lo: float, hi: float, n: int):
-    """Per anchor y[i], the index range [lo_idx, hi_idx) into y2 = [y, y + 1]
-    of the points in the half-open difference window [lo/N, hi/N) pulled back
-    around it, x in (y[i] - hi/N, y[i] - lo/N] on the circle, and whether
-    that range holds the anchor itself (as i or i + N).
+def _arc_counts(y: np.ndarray, lo: float, hi: float):
+    """Per anchor y[i], the index range [i + lo_idx, i + hi_idx) into
+    y2 = [y, y + 1] of the points in the half-open difference window
+    [lo/N, hi/N) pulled back around it, x in (y[i] - hi/N, y[i] - lo/N] on
+    the circle, as offsets from i, and whether that range holds the anchor
+    itself (offset 0 or N).
 
     Both ends are y - c/N plus the one integer per anchor that lifts the
     lower end into [0, 1). So the upper end is the anchor itself in y2 when
     lo = 0, and points coincident with it stay in [0, hi)."""
-    y = y2[:n]
+    n = y.size
     end = y - hi / n
     # y is sorted, so the lift is -turns before `cut` and -(turns + 1) from it
     turns = math.floor(end[0])
@@ -191,10 +202,10 @@ def _arc_counts(y2: np.ndarray, lo: float, hi: float, n: int):
         np.subtract(y, c / n, out=end)
         end[:cut] -= turns
         end[cut:] -= turns + 1
-        ranks.append(_rank(y2, end, "right"))
+        ranks.append(_rank(y, end, "right"))
+    del end
     lo_idx, hi_idx = ranks
-    i = np.arange(n)
-    hit = ((lo_idx <= i) & (i < hi_idx)) | ((lo_idx <= i + n) & (i + n < hi_idx))
+    hit = ((lo_idx <= 0) & (0 < hi_idx)) | ((lo_idx <= n) & (n < hi_idx))
     return lo_idx, hi_idx, hit
 
 
@@ -211,7 +222,8 @@ def _set_partitions(items: tuple):
 
 def _common_count(ranges: list, n: int) -> np.ndarray:
     """Per anchor, the points other than the anchor that lie in every one of
-    the cyclic index sets {p mod N : lo_idx <= p < hi_idx}."""
+    the cyclic index sets {p mod N : lo_idx <= p < hi_idx}. Every step is the
+    same with each range shifted by the anchor's index, so offsets serve."""
     (lo0, hi0, hit), rest = ranges[0], ranges[1:]
     pieces = [(lo0, hi0)]
     for lo, hi, slot_hit in rest:
@@ -240,28 +252,30 @@ def k_level_correlation(pts: TorusPoints, window: CorrelationWindow) -> float:
     about as many whole-array passes as points lie between a typical anchor
     and its window end,
     plus Bell(k-1) vectorized products (1, 2, 5, 15, 52 for k = 2..6);
-    c_B is computed once per distinct set of intervals in B.
+    c_B is computed once per distinct set of intervals in B, and the ranks
+    are dropped before the products.
     """
     n = pts.n
     check_k_level_window(window, n)
-    y2 = np.concatenate([pts.points, pts.points + 1.0])
-    ranges = {iv: _arc_counts(y2, *iv, n) for iv in set(window.intervals)}
-    del y2
+    ranges = {iv: _arc_counts(pts.points, *iv) for iv in set(window.intervals)}
     # the per-anchor products stay exact in int64 below this bound
     widest = max(int(np.max(hi - lo)) for lo, hi, _ in ranges.values())
     dtype = np.int64 if n * widest ** (window.k - 1) < 2**63 else object
-    counts = {}
+    parts = list(_set_partitions(tuple(range(window.k - 1))))
 
-    def count(block):
-        key = tuple(sorted({window.intervals[j] for j in block}))
-        if key not in counts:
-            counts[key] = _common_count([ranges[iv] for iv in key], n).astype(dtype, copy=False)
-        return counts[key]
+    def key(block):
+        return tuple(sorted({window.intervals[j] for j in block}))
 
+    keys = {key(b) for part in parts for b in part}
+    counts = {ivs: _common_count([ranges[iv] for iv in ivs], n) for ivs in keys}
+    del ranges
     total = 0
-    for part in _set_partitions(tuple(range(window.k - 1))):
+    for part in parts:
         mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
-        total += mu * int(np.sum(math.prod(count(b) for b in part)))
+        prod = counts[key(part[0])].astype(dtype)
+        for b in part[1:]:
+            prod *= counts[key(b)]
+        total += mu * int(np.sum(prod))
     return total / n
 
 
@@ -269,18 +283,27 @@ def k_level_correlation(pts: TorusPoints, window: CorrelationWindow) -> float:
 # discrepancy
 
 
-def _sorted_discrepancy(y: np.ndarray, i: np.ndarray) -> tuple[float, float]:
-    """(D, D*) of the sorted points y, with i = 0, 1, ..., len(y) or longer."""
-    m = y.size
-    over = np.max(i[1:m + 1] / m - y)    # interval ending just below a point
-    under = np.max(y - i[:m] / m)        # interval starting just above one
+def _extremes(y: np.ndarray, i: np.ndarray, m: int) -> tuple[float, float]:
+    """The largest (j + 1)/m - y[j] and y[j] - j/m over a run of the m sorted
+    points, with i holding the ranks j of the run and one more."""
+    over = np.max(i[1:y.size + 1] / m - y)    # interval ending just below a point
+    under = np.max(y - i[:y.size] / m)        # interval starting just above one
+    return over, under
+
+
+def _from_extremes(over: float, under: float) -> tuple[float, float]:
+    """(D, D*) from the two extremes of all points."""
     return float(max(over, 0.0) + max(under, 0.0)), float(max(over, under, 0.0))
 
 
 def discrepancy(pts: TorusPoints) -> tuple[float, float]:
     """Exact (D_N, D*_N) from the sorted-order formulas, closed-interval
-    convention (degenerate intervals allowed, so D_N >= 1/N)."""
-    return _sorted_discrepancy(pts.points, np.arange(pts.n + 1, dtype=np.float64))
+    convention (degenerate intervals allowed, so D_N >= 1/N). The extremes
+    are taken a block at a time: the largest block extreme is the same float."""
+    y, m = pts.points, pts.n
+    ext = [_extremes(y[b], np.arange(b.start, b.stop + 1, dtype=np.float64), m)
+           for b in _blocks(m)]
+    return _from_extremes(max(o for o, _ in ext), max(u for _, u in ext))
 
 
 @dataclass(frozen=True)
@@ -334,13 +357,13 @@ def discrepancy_profile(seq: RealSequence, grid: str = "full",
             pos = int(np.searchsorted(buf[:m - 1], fracs[m - 1]))
             buf[pos + 1:m] = buf[pos:m - 1]
             buf[pos] = fracs[m - 1]
-            d_vals[m - 1], s_vals[m - 1] = _sorted_discrepancy(buf[:m], i)
+            d_vals[m - 1], s_vals[m - 1] = _from_extremes(*_extremes(buf[:m], i, m))
     elif grid == "geometric":
         n_grid = _geometric_grid(n, ratio)
         d_vals = np.empty(n_grid.size, dtype=np.float64)
         s_vals = np.empty(n_grid.size, dtype=np.float64)
         for j, m in enumerate(n_grid):
-            d_vals[j], s_vals[j] = _sorted_discrepancy(np.sort(fracs[:m]), i)
+            d_vals[j], s_vals[j] = _from_extremes(*_extremes(np.sort(fracs[:m]), i, m))
     else:
         raise ValueError("grid must be 'full' or 'geometric'")
     m_value = float(np.max(n_grid * d_vals))
@@ -474,14 +497,18 @@ def gap_distribution(pts: TorusPoints) -> GapDistribution:
     if n < 2:
         raise ValueError("need at least 2 points for gaps")
     y = pts.points
-    gaps = np.empty(n, dtype=np.float64)
-    gaps[:-1] = np.diff(y)
-    gaps[-1] = 1.0 - y[-1] + y[0]
-    scaled = np.sort(gaps * n)
-    # exact sup |ECDF - (1 - e^-x)| over the jump points
-    cdf = 1.0 - np.exp(-scaled)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    ks = float(np.max(np.maximum(np.abs(i / n - cdf), np.abs((i - 1.0) / n - cdf))))
+    scaled = np.empty(n, dtype=np.float64)
+    np.subtract(y[1:], y[:-1], out=scaled[:-1])
+    scaled[-1] = 1.0 - y[-1] + y[0]
+    scaled *= n
+    scaled.sort()
+    # exact sup |ECDF - (1 - e^-x)| over the jump points, a block at a time
+    ks = 0.0
+    for b in _blocks(n):
+        cdf = 1.0 - np.exp(-scaled[b])
+        i = np.arange(b.start + 1, b.stop + 1, dtype=np.float64)
+        dev = np.maximum(np.abs(i / n - cdf), np.abs((i - 1.0) / n - cdf))
+        ks = max(ks, float(np.max(dev)))
     return GapDistribution(scaled_gaps=scaled, ks_vs_exponential=ks)
 
 

@@ -27,15 +27,11 @@ def window_membership(diffs, lo, hi, n):
     return np.mod(t - lo / n, 1.0) < (hi - lo) / n
 
 
-def brute_k_level_count(points, window):
-    """Distinct k-tuples counted by full enumeration over index tuples."""
-    n = points.size
-    k = window.k
-    memb = [window_membership(points[:, None] - points[None, :], lo, hi, n)
-            for lo, hi in window.intervals]
-
+def _distinct_tuples(memb, n):
+    """Tuples (a_1, ..., a_k) of distinct indices with memb[j][a_1, a_(j+2)] for
+    every slot j, by full enumeration."""
     def rec(anchor, chosen, slot):
-        if slot == k - 1:
+        if slot == len(memb):
             return 1
         total = 0
         for a in range(n):
@@ -46,6 +42,39 @@ def brute_k_level_count(points, window):
         return total
 
     return sum(rec(a1, (), 0) for a1 in range(n))
+
+
+def brute_k_level_count(points, window):
+    """Distinct k-tuples counted by full enumeration over index tuples."""
+    n = points.size
+    return _distinct_tuples([window_membership(points[:, None] - points[None, :], lo, hi, n)
+                             for lo, hi in window.intervals], n)
+
+
+def extended_pair_count(points, s):
+    """brute_pair_count with the comparisons the library rounds by: twice the
+    pairs i < p < i + N on the extended circle y2 = [y, y + 1], as stored in
+    binary64, with y2[p] < y[i] + s/N."""
+    n = points.size
+    y2 = np.concatenate([points, points + 1.0])
+    q = points + s / n
+    return 2 * sum(int(np.count_nonzero(y2[i + 1:i + n] < q[i])) for i in range(n))
+
+
+def extended_k_level_count(points, window):
+    """brute_k_level_count with the membership the library rounds by: slot
+    (lo, hi) of anchor i holds point j when y2[j] or y2[j + N] of the extended
+    circle y2 = [y, y + 1], as stored in binary64, lies in (e_hi, e_lo], with
+    e_c = (y[i] - c/N) - floor(y[i] - hi/N)."""
+    n = points.size
+    y2 = np.concatenate([points, points + 1.0])
+    memb = []
+    for lo, hi in window.intervals:
+        lift = np.floor(points - hi / n)
+        e_hi, e_lo = points - hi / n - lift, points - lo / n - lift
+        inside = (e_hi[:, None] < y2[None, :]) & (y2[None, :] <= e_lo[:, None])
+        memb.append(inside[:, :n] | inside[:, n:])
+    return _distinct_tuples(memb, n)
 
 
 def geometric_grid_loop(n, ratio):
@@ -180,6 +209,15 @@ def pair_mean_oracle(centers, widths, s):
                 total += sum(below(j + w - d, widths[m], widths[k])
                              - below(j - w - d, widths[m], widths[k]) for j in (-1, 0, 1, 2))
     return total / n
+
+
+def perturb_one_shot(base_values, scale, seed):
+    """x_n + z_n as one expression over all N: one Philox draw of N uniforms
+    and the widths at 1..N."""
+    n = len(base_values)
+    u = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    g = np.asarray(scale.eval(np.arange(1, n + 1)), dtype=np.float64)
+    return base_values + (u * (2.0 * g) - g)
 
 
 def frac_part_mod(values):

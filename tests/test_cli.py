@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from modone import (GOLDEN_ALPHA, GeneratorConfig, ResultRecord, ScaleFunction,
-                    read_points, write_points)
+                    gen_theorem1, read_points, write_points)
 from modone import cli
 from modone.cli import run_cli
 from modone.experiments import _KIND_PARAMETER
@@ -515,6 +515,8 @@ def test_exit_code_validation_errors(tmp_path, capsys):
             (("exp", "--config", str(plan), "--threads", "0"), "threads >= 1"),
             (("exp", "--config", str(plan), "--threads", "-3"), "threads >= 1"),
             (("exp", "--config", str(wide)), "constant width 0.7 exceeds 0.45"),
+            (("check", "--what", "gcond", "--scale", "constant", "--g0", "0.7", "--n", "1000"),
+             "constant width 0.7 exceeds 0.45"),
             (("gen", "--kind", "arithmetic", "--alpha", "1", "--n", "5", "--seed", "-1",
               "--out", str(tmp_path / "x.csv")), "takes no --seed")]:
         code, out, err = run(capsys, *argv)
@@ -834,3 +836,36 @@ def test_repeated_trial_plans_keep_their_freed_memory(tmp_path):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 2000
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_gen_and_stat_hold_few_bytes_per_point(tmp_path):
+    # a fresh interpreter's peak RSS over gen, then stat with the benchmark's
+    # statistics on a dilated realization: about 41 bytes per point at
+    # N = 10**6, against about 84 while each stage held N-sized temporaries.
+    # VmHWM is the peak of this process image; ru_maxrss would carry over the
+    # peak of the test process that forked it
+    n = 10**6
+    dilated = tmp_path / "dilated.pts"
+    write_points(dilated, GOLDEN_ALPHA * gen_theorem1(1.0, n, 5).values)
+    script = (
+        "import sys\n"
+        "from modone.cli import run_cli\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+        "before = peak_kib()\n"
+        "assert run_cli(['gen', '--kind', 'theorem1', '--c', '1', '--n', sys.argv[1],\n"
+        "                '--seed', '5', '--out', sys.argv[2]]) == 0\n"
+        "assert run_cli(['stat', '--in', sys.argv[3], '--ppc', '--klevel', '--k', '3',\n"
+        "                '--windows', '0:1,0:1', '--disc', '--gaps', '--no-timing',\n"
+        "                '--out', sys.argv[4]]) == 0\n"
+        "print(peak_kib() - before)\n")
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(n), str(tmp_path / "gen.pts"),
+                           str(dilated), str(tmp_path / "stat.jsonl")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 / n < 48

@@ -9,6 +9,9 @@ from modone import (GOLDEN_ALPHA, LIOUVILLE_ALPHA, ScaleFunction, arithmetic_seq
                     convergents, gen_base, gen_converse,
                     gen_theorem1, perturb, power_sequence, van_der_corput)
 from modone.generators import schedule_size
+from modone.seqcore import _BLOCK
+
+from oracles import perturb_one_shot
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +169,16 @@ def test_perturb_support_bound_exhaustive():
     out = perturb(base, g, 11).values
     bound = np.asarray(g.eval(np.arange(1, n + 1)))
     assert np.all(np.abs(out - base.values) <= bound)
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_blocked_perturb_equals_one_shot(n):
+    base = arithmetic_sequence(2.0, n)
+    for scale in (ScaleFunction.beck(1.0), ScaleFunction.power_log(0.5),
+                  ScaleFunction.constant(0.3), ScaleFunction.table(np.linspace(0.0, 0.45, n))):
+        got = perturb(base, scale, 2**64 + 7).values
+        assert_array_equal(got.view(np.uint64),
+                           perturb_one_shot(base.values, scale, 2**64 + 7).view(np.uint64))
 
 
 def test_perturb_bitwise_determinism():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from modone import (CorrelationWindow, RealSequence, TorusPoints,
                     additive_energy, discrepancy, discrepancy_profile,
-                    frac_reduce, gap_distribution, k_level_correlation,
+                    frac_reduce, gap_distribution, gen_theorem1, k_level_correlation,
                     pair_correlation, pair_correlation_count)
 from modone.generators import GOLDEN_ALPHA, arithmetic_sequence
+from modone.seqcore import scale_by_alpha
 from modone import stats as stats_module
 from modone.stats import _geometric_grid, _rank, _sums_in
 
 from oracles import (brute_discrepancy, brute_energy_count, brute_k_level_count,
-                     brute_pair_count, brute_star_discrepancy, geometric_grid_loop)
+                     brute_pair_count, brute_star_discrepancy, extended_k_level_count,
+                     extended_pair_count, geometric_grid_loop)
 
 
 def sorted_uniform(rng, n):
@@ -114,7 +117,30 @@ def test_rank_equals_searchsorted(case):
     y2 = np.concatenate([y, y + 1.0])
     for v in queries:
         for side in ("left", "right"):
-            assert_array_equal(_rank(y2, v, side), np.searchsorted(y2, v, side=side))
+            assert_array_equal(_rank(y, v, side) + np.arange(y.size),
+                               np.searchsorted(y2, v, side=side))
+
+
+def test_counts_at_the_float_edges_match_the_extended_circle(rng):
+    # points a few ulps from 0, where y + 1 rounds (to even at 2**-53), and
+    # from 1 - s/N, where the queries meet those rounded values: the circle is
+    # never laid out twice, so the counts must round as the extended circle
+    # [y, y + 1] stored in binary64, not as y against a query less 1
+    for _ in range(60):
+        n = int(rng.integers(7, 18))   # 2s/N stays below half the circle
+        s = float(rng.choice([0.5, 1.0, 1.5]))
+        starts = np.array([0.0, 2.0**-60, 2.0**-53, 3 * 2.0**-54, 1.0 - s / n,
+                           1.0 - 2.0**-53, 0.5])
+        y = starts[rng.integers(0, starts.size, n)]
+        for _ in range(3):   # a few steps of one ulp either way
+            y = np.nextafter(y, np.where(rng.random(n) < 0.5, -1.0, 2.0))
+        y = np.sort(np.clip(y, 0.0, 1.0 - 2.0**-53))
+        pts = TorusPoints(y)
+        assert pair_correlation_count(pts, s) == extended_pair_count(y, s)
+        for w in (CorrelationWindow(k=3, intervals=((0.0, s), (0.0, s))),
+                  CorrelationWindow(k=3, intervals=((-s, s), (-s, 0.0))),
+                  CorrelationWindow(k=2, intervals=((-s, 0.5 * s),))):
+            assert round(k_level_correlation(pts, w) * n) == extended_k_level_count(y, w)
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32),
@@ -481,3 +507,38 @@ def test_gaps_translation_invariance(rng):
     a = gap_distribution(frac_reduce(RealSequence(raw))).scaled_gaps
     b = gap_distribution(frac_reduce(RealSequence(raw + 123.0))).scaled_gaps
     assert_allclose(np.sort(a), np.sort(b), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# working sets of the gen -> stat path
+
+
+def _traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of one call above what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_to_stat_working_sets_stay_within_budget():
+    # bytes per point above the inputs, output included; the 4 MB covers each
+    # stage's fixed blocks. N-sized temporaries beyond these (a second copy of
+    # the circle, index ranges, per-step arrays of a formula) break a budget
+    n = 10**6
+    seq = scale_by_alpha(gen_theorem1(1.0, n, 5), GOLDEN_ALPHA)
+    pts = frac_reduce(seq)
+    k3 = CorrelationWindow(k=3, intervals=((0.0, 1.0), (0.0, 1.0)))
+    stages = {"gen_theorem1": (20, gen_theorem1, 1.0, n, 5),
+              "frac_reduce": (10, frac_reduce, seq),
+              "pair_correlation": (24, pair_correlation, pts, 1.0),
+              "k_level_correlation": (32, k_level_correlation, pts, k3),
+              "discrepancy": (0, discrepancy, pts),
+              "gap_distribution": (12, gap_distribution, pts)}
+    peaks = {name: _traced_peak(*call) for name, (_, *call) in stages.items()}
+    over = {name: peaks[name] / n for name, (budget, *_) in stages.items()
+            if peaks[name] > budget * n + 4e6}
+    assert not over, f"bytes per point over budget: {over}"
