@@ -69,7 +69,9 @@ def _rank(y: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
         if moving >= few and not last:
             return False
         if moving:
-            rest.append(np.flatnonzero(m) + first)
+            idx = np.flatnonzero(m)
+            idx += first
+            rest.append(idx)
         return True
 
     for k in range(passes):

@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modone import (GeneratorConfig, RealSequence, ScaleFunction,
+from modone import (GeneratorConfig, RealSequence, ScaleFunction, derive_trial,
                     density_l2, expected_pair_correlation, expected_pair_mean,
                     expected_window_count, frac_reduce, pair_correlation, perturb,
                     perturbation_density, sweep_density_integrals)
+from modone.seqcore import frac_part
 
 from oracles import (brute_density, brute_window_count, pair_mean_oracle,
                      riemann_density_l2, riemann_h_rho)
@@ -258,6 +259,61 @@ def test_expected_pair_pinned_values():
         assert expected_pair_correlation(base, g, s)[0] == pytest.approx(want, rel=1e-9)
 
 
+# float.hex of every public density output on two configurations: the
+# criterion-06 model at N = 10^4, and four arcs of which three wrap through 0.
+# Queries are arc ends, exactly as the library reduces them, and two more
+# points. Per configuration: rho and h_s at the queries, the sweep integrals,
+# density_l2, the pair integral and its bound, and the pair mean. A change
+# that reorders any sum moves these bits
+PINNED_BITS = [
+    [
+        ["0x1.fff4d6b370780p-1", "0x1.ff2668f5e8040p-1", "0x1.00a7d3f0d0fe0p+0",
+         "0x1.032a273a2ceb0p+0", "0x1.0226c3c39b3c0p+0", "0x1.013897d7908b4p+0",
+         "0x1.0112f8fd500f8p+0", "0x1.0147e323b73b0p+0"],
+        ["0x1.ff6abf3a65000p+0", "0x1.0072e39731800p+1", "0x1.fe99375ee0c00p+0",
+         "0x1.02dd4ca791000p+1", "0x1.019fa60a16000p+1", "0x1.00ab094aa1a00p+1",
+         "0x1.0112f8fd4fc00p+1", "0x1.01c5180ea0800p+1"],
+        ["0x1.ffffffffffffep-1", "0x1.0007f69d9ab45p+0"],
+        ["0x1.0007f69d9ab45p+0"],
+        ["0x1.00071ee4a3b62p+1", "0x1.de7b3b4d2745ap-7"],
+        ["0x1.fdf46d7e3563cp+0"],
+    ],
+    [
+        ["0x1.67ffffffffffep+2", "0x1.8fffffffffffcp+1", "0x1.4000000000000p-1",
+         "0x1.e7b13b13b13b1p+3", "0x1.4000000000000p+1", "0x1.6800000000000p+2",
+         "0x1.4000000000000p-1", "0x1.e7b13b13b13b1p+3", "0x1.e7b13b13b13b1p+3",
+         "0x1.4000000000000p-1"],
+        ["0x1.7fffffffffffcp+1", "0x1.6ccccccccccc8p+1", "0x1.4000000000000p-2",
+         "0x1.7fffffffffffcp+1", "0x1.67ffffffffff8p+1", "0x1.7fffffffffffcp+1",
+         "0x1.4000000000000p-2", "0x1.7fffffffffffcp+1", "0x1.7fffffffffffcp+1",
+         "0x1.2ccccccccccc8p-1"],
+        ["0x1.ffffffffffffap-1", "0x1.d9d89d89d89c6p+2"],
+        ["0x1.d9d89d89d89c6p+2"],
+        ["0x1.2ff9999999993p+1", "0x1.33b13b13b13b1p+3"],
+        ["0x1.7e33333333326p+0"],
+    ],
+]
+
+
+def bit_pinned_configs():
+    _, alpha = derive_trial(666, 0, ("uniform", 1.0, 2.0))
+    base, g = GeneratorConfig(kind="theorem1", c=1.0).model(10_000, alpha)
+    picks = [0, 4999, 9999]
+    widths = np.asarray(g.eval(np.arange(1, 10_001)))
+    yield base, g, 1.0, base.values[picks], widths[picks], [0.25, 0.7071]
+    c, w = np.array([0.02, 0.97, 2.51, -0.004]), np.array([0.05, 0.04, 0.2, 0.013])
+    yield RealSequence(c), ScaleFunction.table(w), 0.5, c, w, [0.0, 0.6]
+
+
+def test_density_outputs_pinned_bitwise():
+    for (base, g, s, c, w, more), want in zip(bit_pinned_configs(), PINNED_BITS, strict=True):
+        xs = np.concatenate([frac_part(c) - w, frac_part(c) + w, more])
+        got = [perturbation_density(base, g, xs), expected_window_count(base, g, s, xs),
+               sweep_density_integrals(base, g), [density_l2(base, g)],
+               expected_pair_correlation(base, g, s), [expected_pair_mean(base, g, s)]]
+        assert [[float(v).hex() for v in out] for out in got] == want
+
+
 def test_expected_pair_mean_matches_closed_form_oracle(rng):
     # widths on both sides of w/2 = s/(2N), so both branches of the self term run
     for n in (1, 2, 3, 5, 8):
@@ -276,6 +332,16 @@ def test_expected_pair_mean_refuses_the_wrap():
         expected_pair_mean(base, ScaleFunction.constant(0.4), 0.5)
     assert expected_pair_mean(base, ScaleFunction.constant(0.4), 0.3) == pytest.approx(
         pair_mean_oracle(base.values, [0.4, 0.4], 0.3), rel=1e-9)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf,
+                               np.array([0.2, math.nan]), np.array([0.5, -math.inf])])
+def test_density_queries_must_be_finite(x):
+    base, g = RealSequence([0.01, 0.5]), ScaleFunction.constant(0.05)
+    with pytest.raises(ValueError, match="^density query points must be finite$"):
+        perturbation_density(base, g, x)
+    with pytest.raises(ValueError, match="^density query points must be finite$"):
+        expected_window_count(base, g, 0.01, x)
 
 
 def test_expected_pair_window_validation():

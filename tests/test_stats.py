@@ -527,15 +527,21 @@ def _traced_peak(fn, *args) -> int:
 def test_gen_to_stat_working_sets_stay_within_budget():
     # bytes per point above the inputs, output included; the 4 MB covers each
     # stage's fixed blocks. N-sized temporaries beyond these (a second copy of
-    # the circle, index ranges, per-step arrays of a formula) break a budget
+    # the circle, index ranges, per-step arrays of a formula) break a budget.
+    # Undilated, 2n + z_n reduces to a cluster round 0, where 97% of the ranks
+    # fall back to searchsorted: an offset copy of their indices (25.5 B/point
+    # against 23.4) breaks its 20 + 4 B/point
     n = 10**6
     seq = scale_by_alpha(gen_theorem1(1.0, n, 5), GOLDEN_ALPHA)
     pts = frac_reduce(seq)
+    raw = frac_reduce(gen_theorem1(1.0, n, 12345))
     k3 = CorrelationWindow(k=3, intervals=((0.0, 1.0), (0.0, 1.0)))
     stages = {"gen_theorem1": (20, gen_theorem1, 1.0, n, 5),
               "frac_reduce": (10, frac_reduce, seq),
               "pair_correlation": (24, pair_correlation, pts, 1.0),
               "k_level_correlation": (32, k_level_correlation, pts, k3),
+              "pair_correlation undilated": (20, pair_correlation, raw, 1.0),
+              "k_level_correlation undilated": (20, k_level_correlation, raw, k3),
               "discrepancy": (0, discrepancy, pts),
               "gap_distribution": (12, gap_distribution, pts)}
     peaks = {name: _traced_peak(*call) for name, (_, *call) in stages.items()}
