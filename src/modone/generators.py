@@ -120,6 +120,17 @@ _SCALE_PARAMETER = {"beck": "c", "power_log": "c", "constant": "g0", "table": "v
 _CONSTRUCTIONS = {"theorem1": (2.0, ScaleFunction.beck), "converse": (1.0, ScaleFunction.power_log)}
 
 
+def _perturb(values: np.ndarray, scale: ScaleFunction, seed: int) -> RealSequence:
+    """`perturb` of the base values, adding the shifts to `values` in place."""
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed {seed} is outside [0, 2**128)")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for b in _blocks(values.size):
+        g = scale.eval(np.arange(b.start + 1, b.stop + 1))
+        values[b] += rng.random(b.stop - b.start) * (2.0 * g) - g
+    return RealSequence(values)
+
+
 def perturb(base: RealSequence, scale: ScaleFunction, seed: int) -> RealSequence:
     """x_n + z_n with i.i.d. shifts z_n ~ Unif[-g(n), g(n)].
 
@@ -128,14 +139,7 @@ def perturb(base: RealSequence, scale: ScaleFunction, seed: int) -> RealSequence
     matching a single infinite random sequence. They are added to one copy of
     the base a block at a time; Philox's stream splits across calls exactly.
     """
-    if not 0 <= seed < 2**128:
-        raise ValueError(f"seed {seed} is outside [0, 2**128)")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    out = base.values.copy()
-    for b in _blocks(base.n):
-        g = scale.eval(np.arange(b.start + 1, b.stop + 1))
-        out[b] += rng.random(b.stop - b.start) * (2.0 * g) - g
-    return RealSequence(out)
+    return _perturb(base.values.copy(), scale, seed)
 
 
 def arithmetic_sequence(alpha: float, n: int) -> RealSequence:
@@ -145,7 +149,8 @@ def arithmetic_sequence(alpha: float, n: int) -> RealSequence:
         raise ValueError("need n >= 1")
     if not math.isfinite(alpha * n):
         raise ValueError(f"alpha={alpha:g} times n={n} is past the float64 range")
-    return RealSequence(alpha * np.arange(1, n + 1, dtype=np.float64))
+    x = np.arange(1, n + 1, dtype=np.float64)
+    return RealSequence(np.multiply(x, alpha, out=x))
 
 
 def power_sequence(theta: float, n: int) -> RealSequence:
@@ -204,7 +209,7 @@ def gen_theorem1(c: float, n: int, seed: int) -> RealSequence:
     """Well-spaced construction: x_n = 2n + z_n with the beck width family. The
     width cap keeps every gap at least 2 - 2*0.45 = 1.1, for every seed."""
     step, family = _CONSTRUCTIONS["theorem1"]
-    return perturb(arithmetic_sequence(step, n), family(c), seed)
+    return _perturb(arithmetic_sequence(step, n).values, family(c), seed)
 
 
 def gen_converse(c: float, n: int, seed: int) -> RealSequence:
@@ -212,7 +217,7 @@ def gen_converse(c: float, n: int, seed: int) -> RealSequence:
     if not 0 < c <= 0.5:
         raise ValueError("need 0 < c <= 1/2")
     step, family = _CONSTRUCTIONS["converse"]
-    return perturb(arithmetic_sequence(step, n), family(c), seed)
+    return _perturb(arithmetic_sequence(step, n).values, family(c), seed)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ def _is_real(v) -> bool:
 _BLOCK = 1 << 16
 
 
-def _blocks(n: int):
-    """The slices of consecutive blocks of at most _BLOCK indices that cover range(n)."""
-    return (slice(a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK))
+def _blocks(n: int, size: int = _BLOCK):
+    """The slices of consecutive blocks of at most `size` indices that cover range(n)."""
+    return (slice(a, min(a + size, n)) for a in range(0, n, size))
 
 
 def _as_float_array(values) -> np.ndarray:

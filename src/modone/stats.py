@@ -33,87 +33,105 @@ def check_pair_window(s: float, n: int) -> None:
         raise ValueError("window s/N must be smaller than half the circle")
 
 
-def _rank(y: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
-    """np.searchsorted(y2, v, side) - i for the sorted y2 = [y, y + 1] of the
-    N points y and one query v[i] per anchor i, fast when most ranks lie near
-    i; int32 while 4N < 2**31, so sums and differences of two stay exact. y2
-    is never built: y + 1 is rounded, as y2 would hold it, only for the points
-    that a pass or a fallback search can reach.
+# Anchors per block of the pair and k-level kernels, whose arrays beyond the
+# sorted points are sized by a block, not by N. Every N <= 2**18 is one block;
+# smaller blocks make more short numpy calls, and two threads of run_trials
+# then wait on each other for the GIL.
+_ANCHORS = 1 << 18
 
-    The rank starts at i. Forward pass k adds y2[i + k] < v[i] (<= for side
-    "right") and backward pass k subtracts y2[i - k] >= v[i] (> for "right").
+
+def _rank(y: np.ndarray, v: np.ndarray, side: str, first: int) -> np.ndarray:
+    """np.searchsorted(y2, v, side) - i for the sorted y2 = [y, y + 1] of the
+    N points y and one query v[j] per anchor i = first + j, fast when most
+    ranks lie near i; int32 while 4N < 2**31, so sums and differences of two
+    stay exact. y2 is never built: y + 1 is rounded, as y2 would hold it,
+    only for the points that a pass or a fallback search can reach, and
+    every array beyond y is sized by the anchors, at most _ANCHORS a call.
+
+    The rank starts at i. Forward pass k adds y2[i + k] < v[j] (<= for side
+    "right") and backward pass k subtracts y2[i - k] >= v[j] (> for "right").
     As y2 is sorted, each anchor's mask holds for a prefix of its passes, so
     the sum is the exact rank, decided by the comparisons a binary search
     makes, over contiguous slices and without a branch per anchor. A
     direction stops after ceil(log2 2N) passes, or once fewer than
-    N / ceil(log2 2N) anchors still move; those anchors (queries wrapped
-    around the circle, clusters, long runs of ties) get np.searchsorted,
-    which bounds the cost near twice that of one searchsorted.
+    1 / ceil(log2 2N) of the anchors still move; those anchors (queries
+    wrapped around the circle, clusters, long runs of ties) get
+    np.searchsorted, which bounds the cost near twice that of one searchsorted.
     """
-    n = v.size
+    n, m = y.size, v.size
     passes = math.ceil(math.log2(2 * n))
-    few = n / passes
+    few = m / passes
     ahead, behind = ((np.less, np.greater_equal) if side == "left"
                      else (np.less_equal, np.greater))
     # one mask buffer and one int8 step per anchor (|step| <= passes <= 64)
     # serve every pass, so no pass allocates
-    mask = np.empty(n, dtype=bool)
+    mask = np.empty(m, dtype=bool)
     bits = mask.view(np.int8)
-    step = np.zeros(n, dtype=np.int8)
+    step = np.zeros(m, dtype=np.int8)
     rest = []
     head = y[:passes] + 1.0
 
-    def settled(m: np.ndarray, first: int, last: bool) -> bool:
-        # m[j] is anchor first + j's mask in the latest pass
-        moving = np.count_nonzero(m)
+    def settled(mk: np.ndarray, start: int, last: bool) -> bool:
+        # mk[j] is anchor first + start + j's mask in the latest pass
+        moving = np.count_nonzero(mk)
         if moving >= few and not last:
             return False
         if moving:
-            idx = np.flatnonzero(m)
-            idx += first
+            idx = np.flatnonzero(mk)
+            idx += start
             rest.append(idx)
         return True
 
     for k in range(passes):
-        ahead(y[k:], v[:n - k], out=mask[:n - k])
-        ahead(head[:k], v[n - k:], out=mask[n - k:])
+        # anchors j < split meet y2[first + j + k] in y, the rest in y + 1
+        split = min(max(n - first - k, 0), m)
+        ahead(y[first + k:first + k + split], v[:split], out=mask[:split])
+        ahead(head[first + k + split - n:first + k + m - n], v[split:], out=mask[split:])
         step += bits
         if settled(mask, 0, k == passes - 1):
             break
     # anchor i runs out of backward passes at k = i, where rank 0 is exact
-    for k in range(1, min(passes, n - 1) + 1):
-        m = mask[:n - k]
-        behind(y[:n - k], v[k:], out=m)
-        step[k:] -= bits[:n - k]
-        if settled(m, k, k == passes):
+    for k in range(1, min(passes, first + m - 1) + 1):
+        lo = max(k - first, 0)
+        mk = mask[:m - lo]
+        behind(y[first + lo - k:first + m - k], v[lo:], out=mk)
+        step[lo:] -= bits[:m - lo]
+        if settled(mk, lo, k == passes):
             break
     r = step.astype(np.int32 if n < 2**29 else np.int64)
-    if rest:
-        # every y[j] + 1 <= top has y[j] < top - 1 + 2 ulp(top); more do no harm
-        top = v.max()
-        upper = y[:np.searchsorted(y, top - 1.0 + 2.0 * np.spacing(top), side="right")] + 1.0
-        for idx in rest:
-            for b in _blocks(idx.size):
-                i, q = idx[b], v[idx[b]]
-                r[i] = np.searchsorted(y, q, side=side) + np.searchsorted(upper, q, side=side) - i
+    for idx in rest:
+        for b in _blocks(idx.size):
+            j = idx[b]
+            q = v[j]
+            # every y[p] + 1 >= low has y[p] > low - 1 - 2 ulp(low), and every
+            # y[p] + 1 <= top has y[p] < top - 1 + 2 ulp(top); more do no harm
+            low, top = q.min(), q.max()
+            a = np.searchsorted(y, low - 1.0 - 2.0 * np.spacing(low), side="left")
+            z = np.searchsorted(y, top - 1.0 + 2.0 * np.spacing(top), side="right")
+            r[j] = np.searchsorted(y, q, side=side) + a - (j + first)
+            for c in _blocks(z - a):   # y + 1 rounded a block at a time
+                r[j] += np.searchsorted(y[a + c.start:a + c.stop] + 1.0, q, side=side)
     return r
 
 
 def pair_correlation_count(pts: TorusPoints, s: float) -> int:
     """#{ordered pairs m != n with circle distance |x_m - x_n| < s/N}.
 
-    One rank over the extended circle (`_rank`): about as many whole-array
-    passes as a typical point has neighbours within s/N, in place of a binary
-    search per point.
+    One rank over the extended circle (`_rank`) per block of _ANCHORS
+    anchors: about as many passes as a typical point has neighbours within
+    s/N, in place of a binary search per point.
     """
     n = pts.n
     check_pair_window(s, n)
     y = pts.points
     # for each i, forward neighbours j with y2[j] - y[i] < s/N, at offsets
     # 1 .. hi - 1 from i; each unordered pair is seen exactly once because s/N < 1/2
-    hi = _rank(y, y + s / n, "left")
-    hi -= 1
-    return 2 * int(np.sum(np.maximum(hi, 0, out=hi)))
+    total = 0
+    for b in _blocks(n, _ANCHORS):
+        hi = _rank(y, y[b] + s / n, "left", b.start)
+        hi -= 1
+        total += int(np.sum(np.maximum(hi, 0, out=hi)))
+    return 2 * total
 
 
 def pair_correlation(pts: TorusPoints, s: float) -> float:
@@ -184,27 +202,27 @@ def check_k_level_window(window: CorrelationWindow, n: int) -> None:
             raise ValueError("window width per coordinate must stay below half the circle")
 
 
-def _arc_counts(y: np.ndarray, lo: float, hi: float):
-    """Per anchor y[i], the index range [i + lo_idx, i + hi_idx) into
-    y2 = [y, y + 1] of the points in the half-open difference window
-    [lo/N, hi/N) pulled back around it, x in (y[i] - hi/N, y[i] - lo/N] on
-    the circle, as offsets from i, and whether that range holds the anchor
-    itself (offset 0 or N).
+def _arc_counts(y: np.ndarray, lo: float, hi: float, b: slice):
+    """Per anchor y[i], i in the block b, the index range [i + lo_idx,
+    i + hi_idx) into y2 = [y, y + 1] of the points in the half-open
+    difference window [lo/N, hi/N) pulled back around it, x in
+    (y[i] - hi/N, y[i] - lo/N] on the circle, as offsets from i, and whether
+    that range holds the anchor itself (offset 0 or N).
 
     Both ends are y - c/N plus the one integer per anchor that lifts the
     lower end into [0, 1). So the upper end is the anchor itself in y2 when
     lo = 0, and points coincident with it stay in [0, hi)."""
     n = y.size
-    end = y - hi / n
     # y is sorted, so the lift is -turns before `cut` and -(turns + 1) from it
-    turns = math.floor(end[0])
+    turns = math.floor(y[0] - hi / n)
+    end = y[b] - hi / n
     cut = int(np.searchsorted(end, turns + 1.0, side="left"))
     ranks = []
     for c in (hi, lo):   # one buffer serves both ends
-        np.subtract(y, c / n, out=end)
+        np.subtract(y[b], c / n, out=end)
         end[:cut] -= turns
         end[cut:] -= turns + 1
-        ranks.append(_rank(y, end, "right"))
+        ranks.append(_rank(y, end, "right", b.start))
     del end
     lo_idx, hi_idx = ranks
     hit = ((lo_idx <= 0) & (0 < hi_idx)) | ((lo_idx <= n) & (n < hi_idx))
@@ -248,36 +266,41 @@ def k_level_correlation(pts: TorusPoints, window: CorrelationWindow) -> float:
     inversion over the set partitions pi of the slots counts the assignments
     of distinct points to the slots as sum_pi mu(pi) prod_{B in pi} c_B,
     with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!; that is c_1 for k = 2 and
-    c_1 c_2 - c_12 for k = 3.
+    c_1 c_2 - c_12 for k = 3. Partitions whose blocks hold the same sets of
+    intervals share one term (4 terms for the Bell(4) = 15 partitions of
+    k = 5 on equal intervals).
 
-    Cost: two ranks (`_rank`) over the N anchors per distinct interval, each
-    about as many whole-array passes as points lie between a typical anchor
-    and its window end,
-    plus Bell(k-1) vectorized products (1, 2, 5, 15, 52 for k = 2..6);
-    c_B is computed once per distinct set of intervals in B, and the ranks
-    are dropped before the products.
+    Per block of _ANCHORS anchors: two ranks (`_rank`) per distinct interval,
+    each about as many passes as points lie between a typical anchor and its
+    window end, then one vectorized product per term; c_B is computed once
+    per distinct set of intervals in B, and the ranks are dropped first.
     """
     n = pts.n
     check_k_level_window(window, n)
-    ranges = {iv: _arc_counts(pts.points, *iv) for iv in set(window.intervals)}
-    # the per-anchor products stay exact in int64 below this bound
-    widest = max(int(np.max(hi - lo)) for lo, hi, _ in ranges.values())
-    dtype = np.int64 if n * widest ** (window.k - 1) < 2**63 else object
-    parts = list(_set_partitions(tuple(range(window.k - 1))))
+    y = pts.points
 
     def key(block):
         return tuple(sorted({window.intervals[j] for j in block}))
 
-    keys = {key(b) for part in parts for b in part}
-    counts = {ivs: _common_count([ranges[iv] for iv in ivs], n) for ivs in keys}
-    del ranges
-    total = 0
-    for part in parts:
+    terms = {}
+    for part in _set_partitions(tuple(range(window.k - 1))):
         mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
-        prod = counts[key(part[0])].astype(dtype)
-        for b in part[1:]:
-            prod *= counts[key(b)]
-        total += mu * int(np.sum(prod))
+        term = tuple(sorted(key(b) for b in part))
+        terms[term] = terms.get(term, 0) + mu
+    keys = {ivs for term in terms for ivs in term}
+    total = 0
+    for blk in _blocks(n, _ANCHORS):
+        ranges = {iv: _arc_counts(y, *iv, blk) for iv in set(window.intervals)}
+        # the per-anchor products stay exact in int64 below this bound
+        widest = max(int(np.max(hi - lo)) for lo, hi, _ in ranges.values())
+        dtype = np.int64 if (blk.stop - blk.start) * widest ** (window.k - 1) < 2**63 else object
+        counts = {ivs: _common_count([ranges[iv] for iv in ivs], n) for ivs in keys}
+        del ranges
+        for term, mu in terms.items():
+            prod = counts[term[0]].astype(dtype)
+            for ivs in term[1:]:
+                prod *= counts[ivs]
+            total += mu * int(np.sum(prod))
     return total / n
 
 

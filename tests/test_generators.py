@@ -168,6 +168,7 @@ def test_perturb_support_bound_exhaustive():
     g = ScaleFunction.beck(1.0)
     out = perturb(base, g, 11).values
     bound = np.asarray(g.eval(np.arange(1, n + 1)))
+    assert_array_equal(base.values, 2.0 * np.arange(1, n + 1))   # the base is copied
     assert np.all(np.abs(out - base.values) <= bound)
 
 

@@ -80,27 +80,36 @@ def clustered_points(rng, n, clusters):
 
 
 @st.composite
+def family_points(draw, n, families=("clusters", "lattice", "ends", "uniform")):
+    """n sorted points of one family: coincident clusters; a dyadic lattice
+    j/2^p, where windows of t/2^p land exactly on points; points within the
+    window of 0 and of 1; uniform points; and undilated theorem1, clustered
+    round 0, where almost every rank falls back to searchsorted."""
+    family = draw(st.sampled_from(families))
+    key = draw(st.integers(0, 2**32))
+    rng = np.random.Generator(np.random.Philox(key=key))
+    if family == "clusters":
+        return clustered_points(rng, n, draw(st.integers(min_value=1, max_value=6)))
+    if family == "lattice":
+        p = draw(st.integers(min_value=0, max_value=10))
+        return np.sort(rng.integers(0, 2**p, n)) / 2**p
+    if family == "ends":
+        near = min(8.0 / n, 0.25) * rng.random(n)
+        return np.sort(np.where(rng.random(n) < 0.5, near, 1.0 - near - 2**-53))
+    if family == "theorem1":
+        return frac_reduce(gen_theorem1(1.0, n, key)).points
+    return np.sort(rng.random(n))
+
+
+@st.composite
 def rank_cases(draw):
     """Sorted points with the queries the pair and k-level kernels make.
 
-    Families: coincident clusters; a dyadic lattice j/2^p, where windows of
-    t/2^p land exactly on points; points within the window of 0 and of 1;
-    and uniform points. Windows: a pair window s/N (s below one ulp of the
-    points, or on the lattice), and k-level arcs, including [5, 6) and
-    [-7, -6), away from 0."""
-    family = draw(st.sampled_from(["clusters", "lattice", "ends", "uniform"]))
-    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**32))))
+    Points of every `family_points` family but theorem1. Windows: a pair
+    window s/N (s below one ulp of the points, or on the lattice), and
+    k-level arcs, including [5, 6) and [-7, -6), away from 0."""
     n = draw(st.integers(min_value=1, max_value=400))
-    if family == "clusters":
-        y = clustered_points(rng, n, draw(st.integers(min_value=1, max_value=6)))
-    elif family == "lattice":
-        p = draw(st.integers(min_value=0, max_value=10))
-        y = np.sort(rng.integers(0, 2**p, n)) / 2**p
-    elif family == "ends":
-        near = min(8.0 / n, 0.25) * rng.random(n)
-        y = np.sort(np.where(rng.random(n) < 0.5, near, 1.0 - near - 2**-53))
-    else:
-        y = np.sort(rng.random(n))
+    y = draw(family_points(n))
     lattice_t = draw(st.integers(min_value=1, max_value=4))
     s = draw(st.sampled_from([1e-300, 1e-17 * n, n * lattice_t / 2**10, 0.5, 1.0, 2.0]))
     lo, hi = draw(st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (5.0, 6.0), (-7.0, -6.0),
@@ -117,7 +126,7 @@ def test_rank_equals_searchsorted(case):
     y2 = np.concatenate([y, y + 1.0])
     for v in queries:
         for side in ("left", "right"):
-            assert_array_equal(_rank(y, v, side) + np.arange(y.size),
+            assert_array_equal(_rank(y, v, side, 0) + np.arange(y.size),
                                np.searchsorted(y2, v, side=side))
 
 
@@ -229,12 +238,9 @@ def test_k4_moebius_matches_brute_force(n, key):
 
 
 @st.composite
-def k_level_cases(draw):
+def k_level_windows(draw, k, n):
     """Windows with lo = 0, offsets by +-N, and identical, overlapping or
     disjoint slots; narrow enough that the brute oracle stays quick."""
-    k = draw(st.integers(min_value=2, max_value=5))
-    n = draw(st.integers(min_value=k, max_value=40))
-    key = draw(st.integers(min_value=0, max_value=2**32))
     max_width = min(0.49 * n, 6.0 if k <= 3 else 2.5)
     intervals = []
     for _ in range(k - 1):
@@ -245,7 +251,15 @@ def k_level_cases(draw):
             lo = draw(st.one_of(st.just(0.0), st.floats(min_value=-4.0, max_value=4.0)))
             hi = lo + draw(st.floats(min_value=0.05, max_value=max_width))
         intervals.append((lo + shift, hi + shift))
-    return n, key, CorrelationWindow(k=k, intervals=tuple(intervals))
+    return CorrelationWindow(k=k, intervals=tuple(intervals))
+
+
+@st.composite
+def k_level_cases(draw):
+    k = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=k, max_value=40))
+    key = draw(st.integers(min_value=0, max_value=2**32))
+    return n, key, draw(k_level_windows(k, n))
 
 
 @given(k_level_cases())
@@ -254,6 +268,22 @@ def test_k_level_matches_brute_force_any_k(case):
     n, key, w = case
     pts = sorted_uniform(np.random.Generator(np.random.Philox(key=key)), n)
     assert round(k_level_correlation(pts, w) * n) == brute_k_level_count(pts.points, w)
+
+
+@given(st.data(), st.integers(min_value=2, max_value=5), st.sampled_from([0.3, 1.0, 2.5]))
+@settings(max_examples=150, deadline=None)
+def test_counts_over_blocks_of_five_anchors_match_the_extended_circle(data, k, s):
+    # every block edge falls among the anchors, in passes and fallbacks
+    # alike; the oracles enumerate over the extended circle, as rounded in
+    # binary64, since lattice and cluster points sit on the window edges
+    n = data.draw(st.integers(min_value=k, max_value=40))
+    y = data.draw(family_points(n, ("clusters", "lattice", "ends", "uniform", "theorem1")))
+    w = data.draw(k_level_windows(k, n))
+    s = min(s, 0.2 * n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats_module, "_ANCHORS", 5)
+        assert pair_correlation_count(TorusPoints(y), s) == extended_pair_count(y, s)
+        assert round(k_level_correlation(TorusPoints(y), w) * n) == extended_k_level_count(y, w)
 
 
 @pytest.mark.parametrize("intervals", [
@@ -524,27 +554,46 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def _stage_calls(n: int) -> dict:
+    """Each stage of gen -> stat at N = n, as (budget in bytes per point, call)."""
+    seq = scale_by_alpha(gen_theorem1(1.0, n, 5), GOLDEN_ALPHA)
+    pts = frac_reduce(seq)
+    raw = frac_reduce(gen_theorem1(1.0, n, 12345))
+    k3 = CorrelationWindow(k=3, intervals=((0.0, 1.0), (0.0, 1.0)))
+    k3_two = CorrelationWindow(k=3, intervals=((0.0, 1.0), (1.0, 2.0)))
+    return {"gen_theorem1": (10, gen_theorem1, 1.0, n, 5),
+            "frac_reduce": (10, frac_reduce, seq),
+            "pair_correlation": (2, pair_correlation, pts, 1.0),
+            "k_level_correlation": (4, k_level_correlation, pts, k3),
+            "k_level_correlation two intervals": (10, k_level_correlation, pts, k3_two),
+            "pair_correlation undilated": (4, pair_correlation, raw, 1.0),
+            "k_level_correlation undilated": (4, k_level_correlation, raw, k3),
+            "discrepancy": (0, discrepancy, pts),
+            "gap_distribution": (12, gap_distribution, pts)}
+
+
+# the stages that hold nothing N-sized beyond the points: blocks of anchors
+_BLOCKED_STAGES = ("pair_correlation", "k_level_correlation",
+                   "k_level_correlation two intervals", "pair_correlation undilated",
+                   "k_level_correlation undilated")
+
+
 def test_gen_to_stat_working_sets_stay_within_budget():
     # bytes per point above the inputs, output included; the 4 MB covers each
     # stage's fixed blocks. N-sized temporaries beyond these (a second copy of
     # the circle, index ranges, per-step arrays of a formula) break a budget.
     # Undilated, 2n + z_n reduces to a cluster round 0, where 97% of the ranks
-    # fall back to searchsorted: an offset copy of their indices (25.5 B/point
-    # against 23.4) breaks its 20 + 4 B/point
-    n = 10**6
-    seq = scale_by_alpha(gen_theorem1(1.0, n, 5), GOLDEN_ALPHA)
-    pts = frac_reduce(seq)
-    raw = frac_reduce(gen_theorem1(1.0, n, 12345))
-    k3 = CorrelationWindow(k=3, intervals=((0.0, 1.0), (0.0, 1.0)))
-    stages = {"gen_theorem1": (20, gen_theorem1, 1.0, n, 5),
-              "frac_reduce": (10, frac_reduce, seq),
-              "pair_correlation": (24, pair_correlation, pts, 1.0),
-              "k_level_correlation": (32, k_level_correlation, pts, k3),
-              "pair_correlation undilated": (20, pair_correlation, raw, 1.0),
-              "k_level_correlation undilated": (20, k_level_correlation, raw, k3),
-              "discrepancy": (0, discrepancy, pts),
-              "gap_distribution": (12, gap_distribution, pts)}
+    # fall back to searchsorted
+    n = 2**21
+    stages = _stage_calls(n)
     peaks = {name: _traced_peak(*call) for name, (_, *call) in stages.items()}
     over = {name: peaks[name] / n for name, (budget, *_) in stages.items()
             if peaks[name] > budget * n + 4e6}
     assert not over, f"bytes per point over budget: {over}"
+    # the pair and k-level kernels rank one block of anchors at a time, so
+    # their peaks do not grow with N: an array of one byte per point would
+    # add 1.5 MB from N = 2**19 to 2**21
+    small = _stage_calls(2**19)
+    grown = {name: (peaks[name] - _traced_peak(*small[name][1:])) / 1e6
+             for name in _BLOCKED_STAGES}
+    assert all(mb < 1.0 for mb in grown.values()), f"MB gained from 2**19 to 2**21: {grown}"
