@@ -10,8 +10,8 @@
 - The regularity checker passes beck widths over the golden rotation and
   fails power_log widths over the well-approximable rotation.
 
-Every number is a pure function of the seeds below. Takes about 35 s on
-2 CPUs, 25 s of it in the counterexample at N = 3 374 011.
+Every number is a pure function of the seeds below. Takes about 15 s on
+2 CPUs, 10 s of it in the counterexample at N = 3 374 011.
 
 Usage: python scripts/reproduce.py
 """

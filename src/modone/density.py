@@ -28,6 +28,15 @@ and reads all it needs off it at O((N + M) log N) cost for M queries. The mass
 over a window [x + lo, x + hi] is the difference of the table's integral at the
 two ends; h_s is the mass over [x - s/N, x + s/N], and the pair integral sums
 rho * h_s over the segments, with one exact correction per bend of h_s inside.
+
+Memory: a call holds at most 64 bytes per point above its inputs (tracemalloc).
+Only the table's edges, levels and running integral (48 B/point), with the
+widths or the sorted arc ends, are N-sized; the rest is computed one block of
+_SEGMENTS segments, or arcs, at a time. Running sums carry from block to
+block in order, so levels, running integrals, rho and h_s do not depend on
+the block size; the integrals add their per-block sums, which moves only
+their last bits. The window ends x + w and x - w of a block of edges form at
+most two sorted runs, each ranked against only the edges it reaches.
 """
 
 from __future__ import annotations
@@ -46,59 +55,117 @@ def _query(x) -> np.ndarray:
     return xs
 
 
-def _boxes(base: RealSequence, scale: ScaleFunction, s=None, own_shifts=False):
-    """Start and end in [0, 1) of each closed arc [x_n - g(n), x_n + g(n)], and
-    the widths g(n); an arc wraps through 0 when its end lies below its start.
-    Widths stay below 1/2, so no arc covers the circle. A window s is checked
-    first, and own_shifts adds the refusal that expected_pair_mean states."""
+# Segments per block of the sweeps. Beyond the level table's edges, levels and
+# running integral, every array a density call makes is sized by a block of
+# segments or of arcs, not by N; every N < 2**14 is one block of 2N + 1 segments.
+_SEGMENTS = 1 << 15
+
+
+def _widths(base: RealSequence, scale: ScaleFunction, s=None, own_shifts=False) -> np.ndarray:
+    """The widths g(n), n = 1..N, evaluated one block at a time. Widths stay
+    below 1/2, so no arc covers the circle. A window s is checked first, and
+    own_shifts adds the refusal that expected_pair_mean states."""
     if s is not None:
         check_pair_window(s, base.n)
-    centers = frac_part(base.values)
-    widths = np.asarray(scale.eval(np.arange(1, base.n + 1)), dtype=np.float64)
+    widths = np.empty(base.n)
+    for a in range(0, base.n, _SEGMENTS):
+        widths[a:a + _SEGMENTS] = scale.eval(np.arange(a + 1, min(a + _SEGMENTS, base.n) + 1))
     if np.any(widths <= 0):
         raise ValueError("density machinery needs strictly positive widths")
     if own_shifts and s / base.n > (room := 1.0 - 2.0 * float(np.max(widths))):
         raise ValueError(f"window s/N = {s / base.n:g} exceeds 1 - 2 g(n) = {room:g}, where "
                          "the difference of a point's own shifts wraps round the circle")
-    return frac_part(centers - widths), frac_part(centers + widths), widths
+    return widths
 
 
-def _running(first, steps):
-    """Value on each segment: `first` before the first breakpoint, then the
-    cumulative sum of the sorted steps."""
-    return np.concatenate([[first], first + np.cumsum(steps)])
+def _arcs(base: RealSequence, widths: np.ndarray, per_point: int, start, end):
+    """Fill start and end with the ends in [0, 1) of each closed arc
+    [x_n - g(n), x_n + g(n)], and overwrite the widths with the weights
+    1 / (2 g(n) per_point), one block of arcs at a time. An arc wraps through
+    0 when its end lies below its start. Returns the summed weight of the
+    wrapping arcs and their number."""
+    wrapped = []
+    for a in range(0, base.n, _SEGMENTS):
+        b = slice(a, a + _SEGMENTS)
+        centres, g = frac_part(base.values[b]), widths[b]
+        start[b], end[b] = frac_part(centres - g), frac_part(centres + g)
+        g[:] = 1.0 / (2.0 * g * per_point)
+        wrapped.append(g[end[b] < start[b]])
+    wrapped = np.concatenate(wrapped)
+    return float(np.sum(wrapped)), wrapped.size
 
 
-def _level_table(base: RealSequence, scale: ScaleFunction, s=None, own_shifts=False):
-    """The widths, and the segments on [0, 1) of f = N rho, or of f = rho with
-    no window s (s and own_shifts go to _boxes): left edges (the first is 0),
-    the value of f on each segment (0.0 where no arc covers), and each
-    segment's length. The wrapping arcs carry f and the cover count at 0; each
-    arc steps them up at its start and down at its end."""
-    start, end, widths = _boxes(base, scale, s, own_shifts)
-    weights = 1.0 / (2.0 * widths * (base.n if s is None else 1))
-    wrapped = end < start
-    pos = np.concatenate([start, end])
+def _level_table(base: RealSequence, widths: np.ndarray, per_point: int):
+    """The segments on [0, 1) of f = sum_n 1_{A_n} / (2 g(n) per_point), from
+    the widths, which it overwrites: the edges (0, the 2N sorted arc ends,
+    and 1, which closes the last segment), the value of f on each segment
+    (0.0 where no arc covers), and the running integral of f at the edges. The wrapping arcs carry f and the cover count at 0; each arc steps
+    them up at its start and down at its end. Steps are gathered one block of
+    sorted ends at a time, and each running sum is carried into the next
+    block, so it adds in the same order as over all 2N at once."""
+    n = base.n
+    pos = np.empty(2 * n)
+    first, cover = _arcs(base, widths, per_point, pos[:n], pos[n:])
     order = np.argsort(pos, kind="stable")
-    level = _running(float(np.sum(weights[wrapped])),
-                     np.concatenate([weights, -weights])[order])
-    cover = _running(int(np.count_nonzero(wrapped)), np.where(order < start.size, 1, -1))
-    level[cover == 0] = 0.0
-    edges = np.concatenate([[0.0], pos[order]])
-    return widths, (edges, level, np.diff(np.append(edges, 1.0)))
+    edges = np.empty(2 * n + 2)
+    edges[0], edges[-1] = 0.0, 1.0
+    np.take(pos, order, out=edges[1:-1], mode="clip")   # "raise" would buffer a copy
+    del pos
+    level = np.empty(2 * n + 1)
+    level[0], carry = first, 0.0
+    for a in range(0, 2 * n, _SEGMENTS):
+        idx = order[a:a + _SEGMENTS]
+        opens = idx < n
+        steps = widths[np.where(opens, idx, idx - n)]
+        np.negative(steps, out=steps, where=~opens)
+        steps[0] += carry
+        carry = np.cumsum(steps, out=steps)[-1]
+        covers = np.cumsum(np.where(opens, 1, -1))
+        covers += cover
+        cover = covers[-1]
+        f = np.add(first, steps, out=level[a + 1:a + 1 + idx.size])
+        f[covers == 0] = 0.0
+    del order, idx   # idx views the last block of order
+    cumulative = np.empty(2 * n + 2)
+    cumulative[0] = carry = 0.0
+    for a in range(0, level.size, _SEGMENTS):
+        part = level[a:a + _SEGMENTS] * np.diff(edges[a:a + _SEGMENTS + 1])
+        part[0] += carry
+        carry = np.cumsum(part, out=cumulative[a + 1:a + 1 + part.size])[-1]
+    return edges, level, cumulative
+
+
+def _integral(table, turns, u, k):
+    """R(t) at t = turns + u, u in segment k, for the integral R from 0 of the
+    periodic extension of a level table."""
+    edges, level, cumulative = table
+    return turns * cumulative[-1] + cumulative[k] + level[k] * (u - edges[k])
+
+
+def _rotated(edges, t):
+    """The turns and fractional parts u of an ascending t that spans at most
+    one turn, and the segment k of each u. u is sorted but for one wrap, and
+    each sorted run is ranked against only the slice of edges it reaches, as
+    np.searchsorted over all of them would rank it."""
+    turns = np.floor(t)
+    u = t - turns
+    k = np.empty(u.size, dtype=np.intp)
+    cut = int(np.searchsorted(turns, turns[-1]))
+    for run in (slice(0, cut), slice(cut, None)):
+        q = u[run]
+        if q.size:
+            lo, hi = np.searchsorted(edges[:-1], q[[0, -1]], side="right")
+            k[run] = np.searchsorted(edges[lo:hi], q, side="right") + (lo - 1)
+    return turns, u, k
 
 
 def _window_mass(table, xs, lo, hi):
     """R(x + hi) - R(x + lo), the mass over [x + lo, x + hi], for the integral
     R from 0 of the periodic extension of a level table."""
-    edges, level, lens = table
-    cumulative = _running(0.0, level * lens)
-
     def integral(t):
         turns = np.floor(t)
         u = t - turns
-        k = np.searchsorted(edges, u, side="right") - 1
-        return turns * cumulative[-1] + cumulative[k] + level[k] * (u - edges[k])
+        return _integral(table, turns, u, np.searchsorted(table[0][:-1], u, side="right") - 1)
     # the exact value is >= 0; clamp the rounding residue of the difference
     return np.maximum(integral(xs + hi) - integral(xs + lo), 0.0)
 
@@ -110,33 +177,59 @@ def _pair_integral(table, w):
     linear and bends where x + w or x - w crosses an edge, by the jump of N rho
     there (negated for x - w). On a segment [a, b) the integral of h_s is the
     trapezoid (b - a)(h(a) + h(b))/2 less delta (b - p)(p - a)/2 for each bend
-    of delta at p inside, so the integral is a sum over the segments and the
-    bends, each bend placed by one searchsorted lookup.
+    of delta at p inside. The sums run over one block of segments at a time,
+    and a bend lies in the segment that its window end is read from.
     """
-    edges, level, lens = table
-    h = _window_mass(table, np.append(edges, 1.0), -w, w)
-    total = float(np.sum(level * 0.5 * (h[:-1] + h[1:]) * lens))
-    ends = np.append(edges[1:], 1.0)
-    jump = level - np.roll(level, 1)
-    for bend, delta in ((frac_part(edges - w), jump), (frac_part(edges + w), -jump)):
-        j = np.searchsorted(edges, bend, side="right") - 1
-        total -= 0.5 * float(np.sum(level[j] * delta * (ends[j] - bend) * (bend - edges[j])))
+    edges, level, _ = table
+
+    def bends(rotation, delta):
+        _, bend, j = rotation
+        bend, j = bend[:-1], j[:-1]
+        return float(np.sum(level[j] * delta * (edges[j + 1] - bend) * (bend - edges[j])))
+    trapezoids = below = above = 0.0
+    for a in range(0, level.size, _SEGMENTS):
+        pts, f = edges[a:a + _SEGMENTS + 1], level[a:a + _SEGMENTS]
+        lo, hi = _rotated(edges, pts - w), _rotated(edges, pts + w)
+        h = np.maximum(_integral(table, *hi) - _integral(table, *lo), 0.0)
+        trapezoids += float(np.sum(f * 0.5 * (h[:-1] + h[1:]) * np.diff(pts)))
+        jump = f - (level[a - 1:a - 1 + f.size] if a else np.append(level[-1], f[:-1]))
+        below += bends(lo, jump)
+        above += bends(hi, -jump)
+    total = trapezoids
+    total -= 0.5 * below
+    total -= 0.5 * above
     return total
+
+
+def _sorted_running(keys: np.ndarray, weights: np.ndarray):
+    """The keys sorted, and 0 then the running sums of the weights in that
+    order, carried from block to block so that they add in order."""
+    order = np.argsort(keys)
+    ordered, running = np.empty(keys.size), np.empty(keys.size + 1)
+    running[0] = carry = 0.0
+    for a in range(0, keys.size, _SEGMENTS):
+        idx = order[a:a + _SEGMENTS]
+        ordered[a:a + idx.size] = keys[idx]
+        part = weights[idx]
+        part[0] += carry
+        carry = np.cumsum(part, out=running[a + 1:a + 1 + idx.size])[-1]
+    return ordered, running
 
 
 def perturbation_density(base: RealSequence, scale: ScaleFunction, x) -> np.ndarray | float:
     """rho evaluated pointwise (vectorized over x); arc membership is closed."""
     xs = frac_part(_query(x))
     # not read off the level table: that sums the steps in another order and moves last bits
-    start, end, widths = _boxes(base, scale)
-    heights = 1.0 / (2.0 * widths * base.n)
-    wrapped = end < start
-    by_start, by_end = np.argsort(start), np.argsort(end)
-    opened = np.searchsorted(start[by_start], xs, side="right")
-    closed = np.searchsorted(end[by_end], xs, side="left")
-    cover = np.count_nonzero(wrapped) + opened - closed
-    level = (float(np.sum(heights[wrapped])) + _running(0.0, heights[by_start])[opened]
-             - _running(0.0, heights[by_end])[closed])
+    n = base.n
+    heights, start, end = _widths(base, scale), np.empty(n), np.empty(n)
+    first, wrapped = _arcs(base, heights, n, start, end)
+    starts, opened_mass = _sorted_running(start, heights)
+    del start
+    ends, closed_mass = _sorted_running(end, heights)
+    opened = np.searchsorted(starts, xs, side="right")
+    closed = np.searchsorted(ends, xs, side="left")
+    cover = wrapped + opened - closed
+    level = first + opened_mass[opened] - closed_mass[closed]
     out = np.where(cover > 0, level, 0.0)
     return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -150,7 +243,7 @@ def expected_window_count(base: RealSequence, scale: ScaleFunction,
     sum_n 1_{A_n} / (2 g(n)), read off the level table at the two window ends.
     """
     xs = _query(x)
-    _, table = _level_table(base, scale, s)
+    table = _level_table(base, _widths(base, scale, s), 1)
     w = s / base.n
     out = _window_mass(table, xs, -w, w)
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -158,8 +251,13 @@ def expected_window_count(base: RealSequence, scale: ScaleFunction,
 
 def sweep_density_integrals(base: RealSequence, scale: ScaleFunction):
     """Exact (integral of rho, integral of rho^2) over the circle."""
-    _, (_, rho, lens) = _level_table(base, scale)
-    return float(np.sum(rho * lens)), float(np.sum(rho * rho * lens))
+    edges, rho, _ = _level_table(base, _widths(base, scale), base.n)
+    total = total_sq = 0.0
+    for a in range(0, rho.size, _SEGMENTS):
+        f, lens = rho[a:a + _SEGMENTS], np.diff(edges[a:a + _SEGMENTS + 1])
+        total += float(np.sum(f * lens))
+        total_sq += float(np.sum(f * f * lens))
+    return total, total_sq
 
 
 def density_l2(base: RealSequence, scale: ScaleFunction) -> float:
@@ -177,7 +275,7 @@ def expected_pair_correlation(base: RealSequence, scale: ScaleFunction,
     expected_pair_mean gives the exact expectation. Both read one level table
     of N rho (_pair_integral).
     """
-    _, table = _level_table(base, scale, s)
+    table = _level_table(base, _widths(base, scale, s), 1)
     n = base.n
     return _pair_integral(table, s / n) / n, s / (n * float(scale.eval(n)))
 
@@ -190,7 +288,7 @@ def expected_pair_mean(base: RealSequence, scale: ScaleFunction, s: float) -> fl
     1 beyond. Refuses w > 1 - 2 g(n), where z - z' could also wrap round the
     circle into the window, before any table is built.
     """
-    widths, table = _level_table(base, scale, s, own_shifts=True)
+    widths = _widths(base, scale, s, own_shifts=True)
     w = s / base.n
-    return _pair_integral(table, w) / base.n - float(
-        np.mean(1.0 - np.square(np.maximum(1.0 - w / (2.0 * widths), 0.0))))
+    self_pairs = float(np.mean(1.0 - np.square(np.maximum(1.0 - w / (2.0 * widths), 0.0))))
+    return _pair_integral(_level_table(base, widths, 1), w) / base.n - self_pairs

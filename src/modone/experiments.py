@@ -13,7 +13,7 @@ import numpy as np
 
 from .generators import (_CONSTRUCTIONS, WIDTH_CAP, ScaleFunction, arithmetic_sequence,
                          gen_base, gen_converse, gen_theorem1, perturb)
-from .seqcore import RealSequence, _is_int, _is_real, scale_by_alpha
+from .seqcore import RealSequence, _blocks, _is_int, _is_real, scale_by_alpha
 from .stats import (CorrelationWindow, DiscrepancyProfile, EnergyResult,
                     additive_energy, check_k_level_window, check_pair_window,
                     k_level_correlation, pair_correlation, reduce_scaled)
@@ -76,7 +76,8 @@ class GeneratorConfig:
 
     def model(self, n: int, alpha: float) -> tuple[RealSequence, Optional[ScaleFunction]]:
         """`build`'s model dilated by alpha: the centres alpha x_n, n = 1..N, and a table
-        of the widths |alpha| g(n), at most WIDTH_CAP (None for an unperturbed kind)."""
+        of the widths |alpha| g(n), at most WIDTH_CAP (None for an unperturbed kind).
+        The widths are evaluated and checked one block at a time."""
         if self.kind in _CONSTRUCTIONS:
             step, family = _CONSTRUCTIONS[self.kind]
             base, scale = arithmetic_sequence(step, n), family(self.c)
@@ -84,13 +85,16 @@ class GeneratorConfig:
             base = gen_base(self.kind, n, alpha=self.alpha, theta=self.theta, base=self.base)
             scale = self.scale
         centres = scale_by_alpha(base, alpha)
+        del base
         if scale is None:
             return centres, None
-        widths = abs(alpha) * scale.eval(np.arange(1, n + 1))
-        if np.any(widths > WIDTH_CAP):
-            k = int(np.argmax(widths > WIDTH_CAP))
-            raise ValueError(f"dilated width {widths[k]:g} at n={k + 1}, alpha={alpha:g} "
-                             f"exceeds {WIDTH_CAP}")
+        widths = np.empty(n)
+        for b in _blocks(n):
+            widths[b] = abs(alpha) * scale.eval(np.arange(b.start + 1, b.stop + 1))
+            if (over := np.flatnonzero(widths[b] > WIDTH_CAP)).size:
+                k = b.start + int(over[0])
+                raise ValueError(f"dilated width {widths[k]:g} at n={k + 1}, alpha={alpha:g} "
+                                 f"exceeds {WIDTH_CAP}")
         return centres, ScaleFunction.table(widths)
 
 

@@ -10,10 +10,19 @@ from modone import (GeneratorConfig, RealSequence, ScaleFunction, derive_trial,
                     density_l2, expected_pair_correlation, expected_pair_mean,
                     expected_window_count, frac_reduce, pair_correlation, perturb,
                     perturbation_density, sweep_density_integrals)
+from modone import density as density_module
+from modone.generators import LIOUVILLE_ALPHA
 from modone.seqcore import frac_part
 
 from oracles import (brute_density, brute_window_count, pair_mean_oracle,
                      riemann_density_l2, riemann_h_rho)
+
+
+def in_blocks_of_seven(fn, *args):
+    """fn(*args) with the density sweeps cut into blocks of 7 segments and arcs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density_module, "_SEGMENTS", 7)
+        return fn(*args)
 
 
 def tiling_base():
@@ -85,6 +94,9 @@ def check_against_oracles(base, g, s, xs):
     assert_array_equal(h == 0.0, want == 0.0)     # exactly 0 where no arc meets the window
     assert perturbation_density(base, g, xs[-1]) == rho[-1]
     assert expected_window_count(base, g, s, xs[-1]) == h[-1]
+    # the running sums carry across blocks, so blocking moves no bit
+    assert_array_equal(in_blocks_of_seven(perturbation_density, base, g, xs), rho)
+    assert_array_equal(in_blocks_of_seven(expected_window_count, base, g, s, xs), h)
 
 
 @given(arc_configs())
@@ -305,13 +317,30 @@ def bit_pinned_configs():
     yield RealSequence(c), ScaleFunction.table(w), 0.5, c, w, [0.0, 0.6]
 
 
+def density_outputs(base, g, s, xs):
+    return [perturbation_density(base, g, xs), expected_window_count(base, g, s, xs),
+            sweep_density_integrals(base, g), [density_l2(base, g)],
+            expected_pair_correlation(base, g, s), [expected_pair_mean(base, g, s)]]
+
+
 def test_density_outputs_pinned_bitwise():
     for (base, g, s, c, w, more), want in zip(bit_pinned_configs(), PINNED_BITS, strict=True):
         xs = np.concatenate([frac_part(c) - w, frac_part(c) + w, more])
-        got = [perturbation_density(base, g, xs), expected_window_count(base, g, s, xs),
-               sweep_density_integrals(base, g), [density_l2(base, g)],
-               expected_pair_correlation(base, g, s), [expected_pair_mean(base, g, s)]]
+        got = density_outputs(base, g, s, xs)
         assert [[float(v).hex() for v in out] for out in got] == want
+
+
+def test_density_outputs_over_blocks_of_seven_segments():
+    # rho and h_s read levels and running integrals that carry across blocks,
+    # so they keep every bit; the integrals add per block in another order
+    for base, g, s, c, w, more in bit_pinned_configs():
+        xs = np.concatenate([frac_part(c) - w, frac_part(c) + w, more])
+        whole = density_outputs(base, g, s, xs)
+        blocked = in_blocks_of_seven(density_outputs, base, g, s, xs)
+        assert_array_equal(blocked[0], whole[0])
+        assert_array_equal(blocked[1], whole[1])
+        for got, want in zip(blocked[2:], whole[2:]):
+            assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_expected_pair_mean_matches_closed_form_oracle(rng):
@@ -324,6 +353,8 @@ def test_expected_pair_mean_matches_closed_form_oracle(rng):
             want = pair_mean_oracle(base.values, widths, s)
             got = expected_pair_mean(base, ScaleFunction.table(widths), s)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (n, s)
+            blocked = in_blocks_of_seven(expected_pair_mean, base, ScaleFunction.table(widths), s)
+            assert blocked == pytest.approx(got, rel=1e-12, abs=1e-15), (n, s)
 
 
 def test_expected_pair_mean_refuses_the_wrap():
@@ -352,3 +383,42 @@ def test_expected_pair_window_validation():
         expected_window_count(base, g, 0.0, 0.5)
     with pytest.raises(ValueError):
         density_l2(base, ScaleFunction.table(np.zeros(20)))
+
+
+def test_expected_pair_mean_at_the_counterexample_size():
+    # the converse model at the largest N of criterion 08's schedule: its
+    # 206 blocks of segments, every running sum carried in order
+    base, g = GeneratorConfig(kind="converse", c=0.5).model(3_374_011, LIOUVILLE_ALPHA)
+    assert expected_pair_mean(base, g, 1.0) == pytest.approx(2.812719924676055, rel=1e-12)
+
+
+def _density_calls(n: int) -> dict:
+    """Each public density call on the theorem1 model at N = n, and the model,
+    as (budget in bytes per point, call)."""
+    config = GeneratorConfig(kind="theorem1", c=1.0)
+    base, g = config.model(n, 1.4142135623730951)
+    xs = np.random.Generator(np.random.Philox(key=5)).random(1000)
+    return {"model": (26, config.model, n, 1.4142135623730951),
+            "perturbation_density": (64, perturbation_density, base, g, xs),
+            "expected_window_count": (64, expected_window_count, base, g, 1.0, xs),
+            "sweep_density_integrals": (64, sweep_density_integrals, base, g),
+            "density_l2": (64, density_l2, base, g),
+            "expected_pair_correlation": (64, expected_pair_correlation, base, g, 1.0),
+            "expected_pair_mean": (64, expected_pair_mean, base, g, 1.0)}
+
+
+def test_density_working_sets_stay_within_budget(traced_peak):
+    # bytes per point above the model, output included; the 4 MB covers the
+    # fixed blocks of segments. Only the edges, levels and running integral
+    # (48 B/point) and the widths or the sorted arc ends are N-sized
+    n = 2**20
+    calls = _density_calls(n)
+    peaks = {name: traced_peak(*call) for name, (_, *call) in calls.items()}
+    over = {name: peaks[name] / n for name, (budget, *_) in calls.items()
+            if peaks[name] > budget * n + 4e6}
+    assert not over, f"bytes per point over budget: {over}"
+    small = _density_calls(2**18)
+    grown = {name: (peaks[name] - traced_peak(*small[name][1:])) / (n - 2**18)
+             for name in calls}
+    over = {name: b for name, b in grown.items() if b >= calls[name][0]}
+    assert not over, f"bytes per point gained from 2**18 to 2**20: {grown}"

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -543,17 +542,6 @@ def test_gaps_translation_invariance(rng):
 # working sets of the gen -> stat path
 
 
-def _traced_peak(fn, *args) -> int:
-    """The tracemalloc peak of one call above what was held before it."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-
-
 def _stage_calls(n: int) -> dict:
     """Each stage of gen -> stat at N = n, as (budget in bytes per point, call)."""
     seq = scale_by_alpha(gen_theorem1(1.0, n, 5), GOLDEN_ALPHA)
@@ -578,7 +566,7 @@ _BLOCKED_STAGES = ("pair_correlation", "k_level_correlation",
                    "k_level_correlation undilated")
 
 
-def test_gen_to_stat_working_sets_stay_within_budget():
+def test_gen_to_stat_working_sets_stay_within_budget(traced_peak):
     # bytes per point above the inputs, output included; the 4 MB covers each
     # stage's fixed blocks. N-sized temporaries beyond these (a second copy of
     # the circle, index ranges, per-step arrays of a formula) break a budget.
@@ -586,7 +574,7 @@ def test_gen_to_stat_working_sets_stay_within_budget():
     # fall back to searchsorted
     n = 2**21
     stages = _stage_calls(n)
-    peaks = {name: _traced_peak(*call) for name, (_, *call) in stages.items()}
+    peaks = {name: traced_peak(*call) for name, (_, *call) in stages.items()}
     over = {name: peaks[name] / n for name, (budget, *_) in stages.items()
             if peaks[name] > budget * n + 4e6}
     assert not over, f"bytes per point over budget: {over}"
@@ -594,6 +582,6 @@ def test_gen_to_stat_working_sets_stay_within_budget():
     # their peaks do not grow with N: an array of one byte per point would
     # add 1.5 MB from N = 2**19 to 2**21
     small = _stage_calls(2**19)
-    grown = {name: (peaks[name] - _traced_peak(*small[name][1:])) / 1e6
+    grown = {name: (peaks[name] - traced_peak(*small[name][1:])) / 1e6
              for name in _BLOCKED_STAGES}
     assert all(mb < 1.0 for mb in grown.values()), f"MB gained from 2**19 to 2**21: {grown}"
