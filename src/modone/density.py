@@ -61,20 +61,14 @@ def _query(x) -> np.ndarray:
 _SEGMENTS = 1 << 15
 
 
-def _widths(base: RealSequence, scale: ScaleFunction, s=None, own_shifts=False) -> np.ndarray:
+def _widths(base: RealSequence, scale: ScaleFunction) -> np.ndarray:
     """The widths g(n), n = 1..N, evaluated one block at a time. Widths stay
-    below 1/2, so no arc covers the circle. A window s is checked first, and
-    own_shifts adds the refusal that expected_pair_mean states."""
-    if s is not None:
-        check_pair_window(s, base.n)
+    below 1/2, so no arc covers the circle."""
     widths = np.empty(base.n)
     for a in range(0, base.n, _SEGMENTS):
         widths[a:a + _SEGMENTS] = scale.eval(np.arange(a + 1, min(a + _SEGMENTS, base.n) + 1))
     if np.any(widths <= 0):
         raise ValueError("density machinery needs strictly positive widths")
-    if own_shifts and s / base.n > (room := 1.0 - 2.0 * float(np.max(widths))):
-        raise ValueError(f"window s/N = {s / base.n:g} exceeds 1 - 2 g(n) = {room:g}, where "
-                         "the difference of a point's own shifts wraps round the circle")
     return widths
 
 
@@ -243,7 +237,8 @@ def expected_window_count(base: RealSequence, scale: ScaleFunction,
     sum_n 1_{A_n} / (2 g(n)), read off the level table at the two window ends.
     """
     xs = _query(x)
-    table = _level_table(base, _widths(base, scale, s), 1)
+    check_pair_window(s, base.n)
+    table = _level_table(base, _widths(base, scale), 1)
     w = s / base.n
     out = _window_mass(table, xs, -w, w)
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -275,7 +270,8 @@ def expected_pair_correlation(base: RealSequence, scale: ScaleFunction,
     expected_pair_mean gives the exact expectation. Both read one level table
     of N rho (_pair_integral).
     """
-    table = _level_table(base, _widths(base, scale, s), 1)
+    check_pair_window(s, base.n)
+    table = _level_table(base, _widths(base, scale), 1)
     n = base.n
     return _pair_integral(table, s / n) / n, s / (n * float(scale.eval(n)))
 
@@ -288,7 +284,11 @@ def expected_pair_mean(base: RealSequence, scale: ScaleFunction, s: float) -> fl
     1 beyond. Refuses w > 1 - 2 g(n), where z - z' could also wrap round the
     circle into the window, before any table is built.
     """
-    widths = _widths(base, scale, s, own_shifts=True)
+    check_pair_window(s, base.n)
+    widths = _widths(base, scale)
     w = s / base.n
+    if w > (room := 1.0 - 2.0 * float(np.max(widths))):
+        raise ValueError(f"window s/N = {w:g} exceeds 1 - 2 g(n) = {room:g}, where "
+                         "the difference of a point's own shifts wraps round the circle")
     self_pairs = float(np.mean(1.0 - np.square(np.maximum(1.0 - w / (2.0 * widths), 0.0))))
     return _pair_integral(_level_table(base, widths, 1), w) / base.n - self_pairs

@@ -163,15 +163,6 @@ def write_points(path, values) -> None:
             f.write(_format_lines(arr[i:i + _CHUNK]))
 
 
-class _BadLine(ValueError):
-    """A body line that is not one finite number, at a 0-based index among the
-    lines of its block."""
-
-    def __init__(self, index: int, reason: str):
-        super().__init__(reason)
-        self.index = index
-
-
 def _blocks(f):
     """The rest of the binary file f in blocks of whole lines, each ending in a
     newline; a last line without one gets one."""
@@ -277,9 +268,10 @@ def _why(line: str) -> str:
     return f"points must be finite, found {vals[0, 0]}"
 
 
-def _decode_text(block: bytes):
+def _decode_text(block: bytes, path, line: int):
     """The values of a block by `numpy.loadtxt`, its lines split as a file read in
-    text mode splits them, and the number of those lines."""
+    text mode splits them, and the number of those lines. The first line that is
+    not one finite number raises ValueError; the block starts at file line `line`."""
     text = block.decode("ascii", errors="replace")   # U+FFFD is no number and no space
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[:-1]
     vals = _loadtxt(lines)
@@ -292,7 +284,7 @@ def _decode_text(block: bytes):
             hi = mid
         else:
             lo = mid
-    raise _BadLine(lo, _why(lines[lo]))
+    raise ValueError(f"{path}: line {line + lo}: {_why(lines[lo])}")
 
 
 def read_points(path) -> np.ndarray:
@@ -319,10 +311,7 @@ def read_points(path) -> np.ndarray:
             raise ValueError(f"{path}: header says n={n}, more values than fit in memory") from None
         found, line = 0, 2   # values so far; the file line of the next block's first line
         for block in _blocks(f):
-            try:
-                vals, lines = _decode_fast(block) or _decode_text(block)
-            except _BadLine as exc:
-                raise ValueError(f"{path}: line {line + exc.index}: {exc}") from None
+            vals, lines = _decode_fast(block) or _decode_text(block, path, line)
             if found + vals.size <= n:
                 out[found:found + vals.size] = vals
             found, line = found + vals.size, line + lines

@@ -229,15 +229,31 @@ def _arc_counts(y: np.ndarray, lo: float, hi: float, b: slice):
     return lo_idx, hi_idx, hit
 
 
-def _set_partitions(items: tuple):
-    """Every set partition of `items`, as a list of blocks."""
-    if not items:
-        yield []
-        return
-    for part in _set_partitions(items[1:]):
-        yield [(items[0],)] + part
-        for i, block in enumerate(part):
-            yield part[:i] + [(items[0],) + block] + part[i + 1:]
+def _moebius_terms(intervals: tuple) -> dict:
+    """{term: mu}: the Moebius sum over the set partitions pi of the slots,
+    one slot per interval. With c_B the points other than the anchor in the
+    windows of every slot of block B, sum_pi mu(pi) prod_{B in pi} c_B counts
+    distinct points in the slots, mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!:
+    c_1 c_2 - c_12 at k = 3. A term is the sorted tuple of its blocks'
+    interval sets, and its nonzero mu sums over the partitions it stands for.
+    Partial partitions grow a slot at a time and merge where blocks agree in
+    interval set and size, so equal intervals carry p(k-1) integer partitions
+    (56 at k = 12), not Bell(k-1) set partitions (678 570)."""
+    states = {(): 1}   # sorted tuple of blocks (interval set, size) -> mu
+    for iv in intervals:
+        grown = {}
+        for blocks, mu in states.items():
+            for i in range(len(blocks) + 1):   # join block i (mu times -size), or open one
+                ivs, m = blocks[i] if i < len(blocks) else ((), 0)
+                block = (tuple(sorted({*ivs, iv})), m + 1)
+                key = tuple(sorted(blocks[:i] + (block,) + blocks[i + 1:]))
+                grown[key] = grown.get(key, 0) + (-m * mu if m else mu)
+        states = grown
+    terms = {}
+    for blocks, mu in states.items():
+        term = tuple(sorted(ivs for ivs, _ in blocks))
+        terms[term] = terms.get(term, 0) + mu
+    return {term: mu for term, mu in terms.items() if mu}
 
 
 def _common_count(ranges: list, n: int) -> np.ndarray:
@@ -261,32 +277,16 @@ def k_level_correlation(pts: TorusPoints, window: CorrelationWindow) -> float:
     """(1/N) * #{k-tuples of distinct indices whose differences from the first
     coordinate fall in the prescribed windows modulo 1}.
 
-    Per anchor, let c_B count the points other than the anchor that lie in
-    the windows of every slot of a block B of the k-1 slots. Moebius
-    inversion over the set partitions pi of the slots counts the assignments
-    of distinct points to the slots as sum_pi mu(pi) prod_{B in pi} c_B,
-    with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!; that is c_1 for k = 2 and
-    c_1 c_2 - c_12 for k = 3. Partitions whose blocks hold the same sets of
-    intervals share one term (4 terms for the Bell(4) = 15 partitions of
-    k = 5 on equal intervals).
-
     Per block of _ANCHORS anchors: two ranks (`_rank`) per distinct interval,
     each about as many passes as points lie between a typical anchor and its
-    window end, then one vectorized product per term; c_B is computed once
-    per distinct set of intervals in B, and the ranks are dropped first.
+    window end, then one vectorized product per term of `_moebius_terms`
+    (11 at k = 12 on equal intervals); c_B is computed once per distinct set
+    of intervals in B, and the ranks are dropped first.
     """
     n = pts.n
     check_k_level_window(window, n)
     y = pts.points
-
-    def key(block):
-        return tuple(sorted({window.intervals[j] for j in block}))
-
-    terms = {}
-    for part in _set_partitions(tuple(range(window.k - 1))):
-        mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
-        term = tuple(sorted(key(b) for b in part))
-        terms[term] = terms.get(term, 0) + mu
+    terms = _moebius_terms(window.intervals)
     keys = {ivs for term in terms for ivs in term}
     total = 0
     for blk in _blocks(n, _ANCHORS):
@@ -415,16 +415,34 @@ def _close_count(queries: np.ndarray, sums: np.ndarray, gamma: float) -> int:
     """#{(p, q) in queries x sums with p - gamma < q < p + gamma}, counted per
     p as searchsorted(p + gamma, left) - searchsorted(p - gamma, right); both
     arrays sorted. Each block of queries searches only the slice of sums that
-    its windows reach, which stays in cache."""
+    its windows reach, which stays in cache.
+
+    No sum lies strictly between p +- gamma and its rounding b, so only the
+    sums equal to b can be misjudged: they are close where the TwoSum error
+    puts the exact p +- gamma beyond b, and only bounds that equal the sum at
+    their rank are checked."""
     count = 0
     block = 1 << 12
     for start in range(0, queries.size, block):
         chunk = queries[start : start + block]
         below, above = chunk - gamma, chunk + gamma
-        reach = sums[np.searchsorted(sums, below[0], side="right"):
-                     np.searchsorted(sums, above[-1], side="left")]
-        count += (int(np.sum(np.searchsorted(reach, above, side="left")))
-                  - int(np.sum(np.searchsorted(reach, below, side="right"))))
+        reach = sums[np.searchsorted(sums, below[0], side="left"):
+                     np.searchsorted(sums, above[-1], side="right")]
+        if not reach.size:
+            continue
+        hi = np.searchsorted(reach, above, side="left")
+        lo = np.searchsorted(reach, below, side="right")
+        count += int(np.sum(hi)) - int(np.sum(lo))
+        lo -= 1   # the last sum <= p - gamma, as hi is the first sum >= p + gamma
+        for bound, at, sign in ((above, hi, 1.0), (below, lo, -1.0)):
+            tie = reach.take(at, mode="clip") == bound
+            if np.count_nonzero(tie):
+                p, b = chunk[tie], bound[tie]
+                d = b - p   # TwoSum: p + sign gamma = b + err exactly
+                err = (p - (b - d)) + (sign * gamma - d)
+                b = b[err * sign > 0]
+                count += int(np.sum(np.searchsorted(reach, b, side="right")
+                                    - np.searchsorted(reach, b, side="left")))
     return count
 
 

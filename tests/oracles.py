@@ -51,6 +51,29 @@ def brute_k_level_count(points, window):
                              for lo, hi in window.intervals], n)
 
 
+def set_partitions(items):
+    """Every set partition of `items`, as a list of blocks."""
+    if not items:
+        yield []
+        return
+    for part in set_partitions(items[1:]):
+        yield [(items[0],)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [(items[0],) + block] + part[i + 1:]
+
+
+def partition_moebius_terms(intervals):
+    """The Moebius sum over every set partition of the slots, one slot per
+    interval, folded into {term: mu}: a term is the sorted tuple of the
+    blocks' interval sets, and mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!."""
+    terms = {}
+    for part in set_partitions(tuple(range(len(intervals)))):
+        mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
+        term = tuple(sorted(tuple(sorted({intervals[j] for j in b})) for b in part))
+        terms[term] = terms.get(term, 0) + mu
+    return terms
+
+
 def extended_pair_count(points, s):
     """brute_pair_count with the comparisons the library rounds by: twice the
     pairs i < p < i + N on the extended circle y2 = [y, y + 1], as stored in

@@ -13,11 +13,12 @@ from modone import (CorrelationWindow, RealSequence, TorusPoints,
 from modone.generators import GOLDEN_ALPHA, arithmetic_sequence
 from modone.seqcore import scale_by_alpha
 from modone import stats as stats_module
-from modone.stats import _geometric_grid, _rank, _sums_in
+from modone.stats import _geometric_grid, _moebius_terms, _rank, _sums_in
 
 from oracles import (brute_discrepancy, brute_energy_count, brute_k_level_count,
                      brute_pair_count, brute_star_discrepancy, extended_k_level_count,
-                     extended_pair_count, geometric_grid_loop)
+                     extended_pair_count, geometric_grid_loop, partition_moebius_terms,
+                     window_membership)
 
 
 def sorted_uniform(rng, n):
@@ -304,6 +305,34 @@ def test_k_level_counts_past_int64_exactly():
     assert k_level_correlation(TorusPoints(np.zeros(n)), w) == math.perm(n, 5) / n
 
 
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8),
+       st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5]), st.sampled_from([1.0, 2.0])),
+                min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_moebius_terms_equal_the_set_partition_fold(slots, pool):
+    # up to 4 distinct intervals over at most 8 slots, repeated in any order
+    intervals = tuple(pool[j] for j in slots)
+    terms = partition_moebius_terms(intervals)
+    assert _moebius_terms(intervals) == {term: mu for term, mu in terms.items() if mu}
+
+
+@pytest.mark.parametrize("spread, width", [
+    (1.0, 10.0),    # uniform points, about 20 in a window: int64 products
+    (0.1, 10.0),    # every window holds all 50 points: 50 * 50**11 >= 2**63, object products
+])
+def test_k_level_at_k12_counts_falling_factorials(spread, width):
+    # on equal windows the k-tuples of anchor i are the ordered choices of
+    # k - 1 of the c_i other points in its window
+    n, k = 50, 12
+    y = np.sort(np.random.default_rng(7).random(n) * spread)
+    memb = window_membership(y[:, None] - y[None, :], -width, width, n)
+    np.fill_diagonal(memb, False)
+    w = CorrelationWindow(k=k, intervals=((-width, width),) * (k - 1))
+    expected = sum(math.perm(int(c), k - 1) for c in memb.sum(axis=1))
+    assert expected > 0
+    assert k_level_correlation(TorusPoints(y), w) == expected / n
+
+
 def test_k3_overlapping_windows_diagonal_removal(rng):
     # overlapping intervals force the a2 = a3 correction path
     pts = sorted_uniform(rng, 50)
@@ -438,17 +467,27 @@ def test_energy_matches_brute_force(n, key, gamma):
 
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=25),
        st.sampled_from([1.0, 0.25, 0.125]), st.integers(min_value=1, max_value=6),
-       st.booleans(), st.sampled_from([1, 2, 5, 40, 1 << 18]))
+       st.sampled_from(["on", "between", "nudged"]), st.sampled_from([1, 2, 5, 40, 1 << 18]))
 @settings(max_examples=80, deadline=None)
-def test_energy_tie_heavy_matches_brute_force(ints, step, m, on_lattice, slab):
+def test_energy_tie_heavy_matches_brute_force(ints, step, m, place, slab):
     # repeated lattice values make many sum differences land exactly on gamma,
+    # a gamma just above the lattice makes p +- gamma round onto lattice sums,
     # and slabs of a few sums put their cut points on tied sums
     values = np.array(ints, dtype=np.float64) * step
-    gamma = (m if on_lattice else m - 0.5) * step
+    gamma = {"on": m * step, "between": (m - 0.5) * step,
+             "nudged": np.nextafter(m * step, np.inf)}[place]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stats_module, "_SLAB_SUMS", slab)
         assert (additive_energy(RealSequence(values), gamma).count
                 == brute_energy_count(values, gamma))
+
+
+def test_energy_counts_sums_on_a_rounded_bound():
+    # fl(p + gamma) rounds down onto the sum p + 1 < p + gamma, which is close
+    values = np.arange(1.0, 13.0)
+    gamma = np.nextafter(1.0, 2.0)
+    assert additive_energy(RealSequence(values), gamma).count == brute_energy_count(values, gamma)
+    assert brute_energy_count(values, gamma) == 3444
 
 
 @given(st.lists(st.integers(min_value=0, max_value=60), min_size=2, max_size=30),
