@@ -30,13 +30,13 @@ two ends; h_s is the mass over [x - s/N, x + s/N], and the pair integral sums
 rho * h_s over the segments, with one exact correction per bend of h_s inside.
 
 Memory: a call holds at most 64 bytes per point above its inputs (tracemalloc).
-Only the table's edges, levels and running integral (48 B/point), with the
-widths or the sorted arc ends, are N-sized; the rest is computed one block of
-_SEGMENTS segments, or arcs, at a time. Running sums carry from block to
-block in order, so levels, running integrals, rho and h_s do not depend on
-the block size; the integrals add their per-block sums, which moves only
-their last bits. The window ends x + w and x - w of a block of edges form at
-most two sorted runs, each ranked against only the edges it reaches.
+The table's edges, levels and running integral (48 B/point) and the widths or
+sorted arc ends are N-sized, filled by whole-array passes that gather into them
+and sum in place in index order. Only the two integrals over segments run over
+blocks of _SEGMENTS, as their per-segment temporaries would otherwise sit next
+to the table; they add per-block sums, which moves only their last bits. The
+window ends x + w and x - w of a block of edges form at most two sorted runs,
+each ranked against only the edges it reaches.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .generators import ScaleFunction
-from .seqcore import RealSequence, frac_part
+from .seqcore import RealSequence, _blocks, frac_part
 from .stats import check_pair_window
 
 
@@ -55,18 +55,16 @@ def _query(x) -> np.ndarray:
     return xs
 
 
-# Segments per block of the sweeps. Beyond the level table's edges, levels and
-# running integral, every array a density call makes is sized by a block of
-# segments or of arcs, not by N; every N < 2**14 is one block of 2N + 1 segments.
+# Segments per block of the two integrals over segments (_pair_integral and
+# sweep_density_integrals): each block's rotated edges, window counts and
+# products stay this size, not N; every N < 2**14 is one block of 2N + 1 segments.
 _SEGMENTS = 1 << 15
 
 
 def _widths(base: RealSequence, scale: ScaleFunction) -> np.ndarray:
-    """The widths g(n), n = 1..N, evaluated one block at a time. Widths stay
-    below 1/2, so no arc covers the circle."""
-    widths = np.empty(base.n)
-    for a in range(0, base.n, _SEGMENTS):
-        widths[a:a + _SEGMENTS] = scale.eval(np.arange(a + 1, min(a + _SEGMENTS, base.n) + 1))
+    """The widths g(n), n = 1..N. Widths stay below 1/2, so no arc covers the
+    circle."""
+    widths = scale.eval(np.arange(1, base.n + 1))
     if np.any(widths <= 0):
         raise ValueError("density machinery needs strictly positive widths")
     return widths
@@ -75,17 +73,13 @@ def _widths(base: RealSequence, scale: ScaleFunction) -> np.ndarray:
 def _arcs(base: RealSequence, widths: np.ndarray, per_point: int, start, end):
     """Fill start and end with the ends in [0, 1) of each closed arc
     [x_n - g(n), x_n + g(n)], and overwrite the widths with the weights
-    1 / (2 g(n) per_point), one block of arcs at a time. An arc wraps through
-    0 when its end lies below its start. Returns the summed weight of the
-    wrapping arcs and their number."""
-    wrapped = []
-    for a in range(0, base.n, _SEGMENTS):
-        b = slice(a, a + _SEGMENTS)
-        centres, g = frac_part(base.values[b]), widths[b]
-        start[b], end[b] = frac_part(centres - g), frac_part(centres + g)
-        g[:] = 1.0 / (2.0 * g * per_point)
-        wrapped.append(g[end[b] < start[b]])
-    wrapped = np.concatenate(wrapped)
+    1 / (2 g(n) per_point). An arc wraps through 0 when its end lies below its
+    start. Returns the summed weight of the wrapping arcs and their number."""
+    centres = frac_part(base.values)
+    start[:] = frac_part(centres - widths)
+    end[:] = frac_part(np.add(centres, widths, out=centres))
+    np.divide(1.0, 2.0 * widths * per_point, out=widths)
+    wrapped = widths[end < start]
     return float(np.sum(wrapped)), wrapped.size
 
 
@@ -93,10 +87,10 @@ def _level_table(base: RealSequence, widths: np.ndarray, per_point: int):
     """The segments on [0, 1) of f = sum_n 1_{A_n} / (2 g(n) per_point), from
     the widths, which it overwrites: the edges (0, the 2N sorted arc ends,
     and 1, which closes the last segment), the value of f on each segment
-    (0.0 where no arc covers), and the running integral of f at the edges. The wrapping arcs carry f and the cover count at 0; each arc steps
-    them up at its start and down at its end. Steps are gathered one block of
-    sorted ends at a time, and each running sum is carried into the next
-    block, so it adds in the same order as over all 2N at once."""
+    (0.0 where no arc covers), and the running integral of f at the edges.
+    The wrapping arcs carry f and the cover count at 0; each arc steps them up
+    at its start and down at its end, and the running sums add the steps in
+    sorted order."""
     n = base.n
     pos = np.empty(2 * n)
     first, cover = _arcs(base, widths, per_point, pos[:n], pos[n:])
@@ -106,26 +100,23 @@ def _level_table(base: RealSequence, widths: np.ndarray, per_point: int):
     np.take(pos, order, out=edges[1:-1], mode="clip")   # "raise" would buffer a copy
     del pos
     level = np.empty(2 * n + 1)
-    level[0], carry = first, 0.0
-    for a in range(0, 2 * n, _SEGMENTS):
-        idx = order[a:a + _SEGMENTS]
-        opens = idx < n
-        steps = widths[np.where(opens, idx, idx - n)]
-        np.negative(steps, out=steps, where=~opens)
-        steps[0] += carry
-        carry = np.cumsum(steps, out=steps)[-1]
-        covers = np.cumsum(np.where(opens, 1, -1))
-        covers += cover
-        cover = covers[-1]
-        f = np.add(first, steps, out=level[a + 1:a + 1 + idx.size])
-        f[covers == 0] = 0.0
-    del order, idx   # idx views the last block of order
-    cumulative = np.empty(2 * n + 2)
-    cumulative[0] = carry = 0.0
-    for a in range(0, level.size, _SEGMENTS):
-        part = level[a:a + _SEGMENTS] * np.diff(edges[a:a + _SEGMENTS + 1])
-        part[0] += carry
-        carry = np.cumsum(part, out=cumulative[a + 1:a + 1 + part.size])[-1]
+    level[0], steps = first, level[1:]
+    np.take(widths, order, out=steps, mode="wrap")   # end i >= n closes arc i - n
+    opens = order < n
+    del order
+    np.negative(steps, out=steps, where=~opens)
+    covers = np.where(opens, np.int32(1), np.int32(-1))
+    del opens
+    covers[0] += cover
+    np.cumsum(covers, dtype=np.int32, out=covers)   # without dtype: an int64 copy
+    np.cumsum(steps, out=steps)
+    np.add(first, steps, out=steps)
+    steps[covers == 0] = 0.0
+    del covers
+    cumulative = np.zeros(2 * n + 2)
+    np.subtract(edges[1:], edges[:-1], out=cumulative[1:])
+    cumulative[1:] *= level
+    np.cumsum(cumulative[1:], out=cumulative[1:])
     return edges, level, cumulative
 
 
@@ -181,33 +172,25 @@ def _pair_integral(table, w):
         bend, j = bend[:-1], j[:-1]
         return float(np.sum(level[j] * delta * (edges[j + 1] - bend) * (bend - edges[j])))
     trapezoids = below = above = 0.0
-    for a in range(0, level.size, _SEGMENTS):
-        pts, f = edges[a:a + _SEGMENTS + 1], level[a:a + _SEGMENTS]
+    for b in _blocks(level.size, _SEGMENTS):
+        pts, f = edges[b.start:b.stop + 1], level[b]
         lo, hi = _rotated(edges, pts - w), _rotated(edges, pts + w)
         h = np.maximum(_integral(table, *hi) - _integral(table, *lo), 0.0)
         trapezoids += float(np.sum(f * 0.5 * (h[:-1] + h[1:]) * np.diff(pts)))
-        jump = f - (level[a - 1:a - 1 + f.size] if a else np.append(level[-1], f[:-1]))
+        jump = f - (level[b.start - 1:b.stop - 1] if b.start else np.append(level[-1], f[:-1]))
         below += bends(lo, jump)
         above += bends(hi, -jump)
-    total = trapezoids
-    total -= 0.5 * below
-    total -= 0.5 * above
-    return total
+    return trapezoids - 0.5 * below - 0.5 * above
 
 
 def _sorted_running(keys: np.ndarray, weights: np.ndarray):
     """The keys sorted, and 0 then the running sums of the weights in that
-    order, carried from block to block so that they add in order."""
+    order."""
     order = np.argsort(keys)
-    ordered, running = np.empty(keys.size), np.empty(keys.size + 1)
-    running[0] = carry = 0.0
-    for a in range(0, keys.size, _SEGMENTS):
-        idx = order[a:a + _SEGMENTS]
-        ordered[a:a + idx.size] = keys[idx]
-        part = weights[idx]
-        part[0] += carry
-        carry = np.cumsum(part, out=running[a + 1:a + 1 + idx.size])[-1]
-    return ordered, running
+    running = np.zeros(keys.size + 1)
+    np.take(weights, order, out=running[1:], mode="clip")
+    np.cumsum(running[1:], out=running[1:])
+    return keys[order], running
 
 
 def perturbation_density(base: RealSequence, scale: ScaleFunction, x) -> np.ndarray | float:
@@ -248,8 +231,8 @@ def sweep_density_integrals(base: RealSequence, scale: ScaleFunction):
     """Exact (integral of rho, integral of rho^2) over the circle."""
     edges, rho, _ = _level_table(base, _widths(base, scale), base.n)
     total = total_sq = 0.0
-    for a in range(0, rho.size, _SEGMENTS):
-        f, lens = rho[a:a + _SEGMENTS], np.diff(edges[a:a + _SEGMENTS + 1])
+    for b in _blocks(rho.size, _SEGMENTS):
+        f, lens = rho[b], np.diff(edges[b.start:b.stop + 1])
         total += float(np.sum(f * lens))
         total_sq += float(np.sum(f * f * lens))
     return total, total_sq

@@ -422,9 +422,8 @@ def _close_count(queries: np.ndarray, sums: np.ndarray, gamma: float) -> int:
     puts the exact p +- gamma beyond b, and only bounds that equal the sum at
     their rank are checked."""
     count = 0
-    block = 1 << 12
-    for start in range(0, queries.size, block):
-        chunk = queries[start : start + block]
+    for block in _blocks(queries.size, 1 << 12):
+        chunk = queries[block]
         below, above = chunk - gamma, chunk + gamma
         reach = sums[np.searchsorted(sums, below[0], side="left"):
                      np.searchsorted(sums, above[-1], side="right")]
@@ -488,7 +487,8 @@ def additive_energy(seq: RealSequence, gamma: float) -> EnergyResult:
     Sorts x once. The N(N-1)/2 off-diagonal sums x_a + x_b (a < b) stand for
     two ordered pairs each; the diagonal sums 2 x_a come out sorted. With
     C(P, Q) the close pairs counted for each p in P among the sorted Q,
-    E = 4 C(off, off) + 2 C(off, diag) + 2 C(diag, off) + C(diag, diag).
+    E = 4 C(off, off) + 4 C(off, diag) + C(diag, diag), as _close_count
+    decides |p - q| < gamma exactly, so C(diag, off) = C(off, diag).
     The off-diagonal sums are taken in value slabs [L, U) of about
     _SLAB_SUMS each: a query p in the slab can only meet sums in
     [L - gamma, U + gamma), which are gathered and sorted per slab, so the
@@ -510,10 +510,7 @@ def additive_energy(seq: RealSequence, gamma: float) -> EnergyResult:
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         near = _sums_in(x, lo - gamma, hi + gamma)
         own = near[np.searchsorted(near, lo, side="left"):np.searchsorted(near, hi, side="left")]
-        own_diag = diag[np.searchsorted(diag, lo, side="left"):
-                        np.searchsorted(diag, hi, side="left")]
-        count += (4 * _close_count(own, near, gamma) + 2 * _close_count(own, diag, gamma)
-                  + 2 * _close_count(own_diag, near, gamma))
+        count += 4 * (_close_count(own, near, gamma) + _close_count(own, diag, gamma))
     return EnergyResult(count=count, gamma=float(gamma), n=n)
 
 

@@ -498,6 +498,11 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     for argv, needle in [
             (("stat", "--in", missing, "--klevel"), "--windows"),
             (("stat", "--in", missing, "--energy"), "--gamma"),
+            (("stat", "--in", missing, "--klevel", "--windows", "0:1:2,0:1"),
+             "malformed --windows"),
+            (("check", "--what", "gcond", "--scale", "beck", "--c", "1"),
+             "requires --scale and --n"),
+            (("check", "--what", "energy", "--gamma", "1"), "requires --in and --gamma"),
             (("stat", "--in", str(vdc), "--ppc", "--s", "nan"), "need s > 0"),
             (("stat", "--in", str(vdc), "--energy", "--gamma", "nan"), "need gamma > 0"),
             (("check", "--what", "energy", "--in", str(thm), "--gamma", "nan"),

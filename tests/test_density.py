@@ -19,7 +19,7 @@ from oracles import (brute_density, brute_window_count, pair_mean_oracle,
 
 
 def in_blocks_of_seven(fn, *args):
-    """fn(*args) with the density sweeps cut into blocks of 7 segments and arcs."""
+    """fn(*args) with the integrals over segments cut into blocks of 7."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(density_module, "_SEGMENTS", 7)
         return fn(*args)
@@ -94,7 +94,7 @@ def check_against_oracles(base, g, s, xs):
     assert_array_equal(h == 0.0, want == 0.0)     # exactly 0 where no arc meets the window
     assert perturbation_density(base, g, xs[-1]) == rho[-1]
     assert expected_window_count(base, g, s, xs[-1]) == h[-1]
-    # the running sums carry across blocks, so blocking moves no bit
+    # the running sums are whole-array passes, so the block size moves no bit
     assert_array_equal(in_blocks_of_seven(perturbation_density, base, g, xs), rho)
     assert_array_equal(in_blocks_of_seven(expected_window_count, base, g, s, xs), h)
 
@@ -331,8 +331,8 @@ def test_density_outputs_pinned_bitwise():
 
 
 def test_density_outputs_over_blocks_of_seven_segments():
-    # rho and h_s read levels and running integrals that carry across blocks,
-    # so they keep every bit; the integrals add per block in another order
+    # rho and h_s read levels and running integrals built by whole-array
+    # passes, so they keep every bit; the integrals add per block in another order
     for base, g, s, c, w, more in bit_pinned_configs():
         xs = np.concatenate([frac_part(c) - w, frac_part(c) + w, more])
         whole = density_outputs(base, g, s, xs)
@@ -386,8 +386,8 @@ def test_expected_pair_window_validation():
 
 
 def test_expected_pair_mean_at_the_counterexample_size():
-    # the converse model at the largest N of criterion 08's schedule: its
-    # 206 blocks of segments, every running sum carried in order
+    # the converse model at the largest N of criterion 08's schedule: one
+    # table of 6.7 million segments, integrated in 206 blocks
     base, g = GeneratorConfig(kind="converse", c=0.5).model(3_374_011, LIOUVILLE_ALPHA)
     assert expected_pair_mean(base, g, 1.0) == pytest.approx(2.812719924676055, rel=1e-12)
 

@@ -140,6 +140,12 @@ def test_gen_base_validation():
         power_sequence(0.0, 3)
     with pytest.raises(ValueError):
         van_der_corput(1, 3)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        power_sequence(1.0, 0)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        van_der_corput(2, 0)
+    with pytest.raises(ValueError, match="does not fit in 64 bits"):
+        van_der_corput(2**62, 2**62)   # refused before any array is built
     with pytest.raises(ValueError):
         arithmetic_sequence(1.0, 0)
     with pytest.raises(ValueError):

@@ -92,6 +92,8 @@ def test_torus_points_validation():
         TorusPoints([])
     with pytest.raises(ValueError):
         RealSequence([])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        RealSequence(np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

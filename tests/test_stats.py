@@ -13,7 +13,7 @@ from modone import (CorrelationWindow, RealSequence, TorusPoints,
 from modone.generators import GOLDEN_ALPHA, arithmetic_sequence
 from modone.seqcore import scale_by_alpha
 from modone import stats as stats_module
-from modone.stats import _geometric_grid, _moebius_terms, _rank, _sums_in
+from modone.stats import _close_count, _geometric_grid, _moebius_terms, _rank, _sums_in
 
 from oracles import (brute_discrepancy, brute_energy_count, brute_k_level_count,
                      brute_pair_count, brute_star_discrepancy, extended_k_level_count,
@@ -488,6 +488,18 @@ def test_energy_counts_sums_on_a_rounded_bound():
     gamma = np.nextafter(1.0, 2.0)
     assert additive_energy(RealSequence(values), gamma).count == brute_energy_count(values, gamma)
     assert brute_energy_count(values, gamma) == 3444
+
+
+@pytest.mark.parametrize("step", [1.0, 0.25, 0.1])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_close_count_is_symmetric_on_lattice_sums(step, m):
+    # the tie rule decides |p - q| < gamma exactly, so additive_energy counts
+    # the cross term between off-diagonal and diagonal sums once, times four
+    x = np.arange(-6, 7) * step
+    off = np.sort((x[:, None] + x[None, :])[np.triu_indices(x.size, 1)])
+    diag = x + x
+    for gamma in (m * step, np.nextafter(m * step, np.inf)):
+        assert _close_count(off, diag, gamma) == _close_count(diag, off, gamma), gamma
 
 
 @given(st.lists(st.integers(min_value=0, max_value=60), min_size=2, max_size=30),
