@@ -11,7 +11,7 @@
   fails power_log widths over the well-approximable rotation.
 
 Every number is a pure function of the seeds below. Takes about 15 s on
-2 CPUs, 10 s of it in the counterexample at N = 3 374 011.
+2 CPUs, 9 s of it in the counterexample at N = 3 374 011.
 
 Usage: python scripts/reproduce.py
 """

@@ -92,17 +92,18 @@ class ScaleFunction:
             raise ValueError("scale function indices start at 1")
         if self.family == "table":
             assert self.values is not None
-            idx = np.rint(x)
-            if not np.all(idx <= len(self.values)):
+            # rint is monotone, so the largest index decides; NaN fails here
+            if x.size and not np.rint(np.max(x)) <= len(self.values):
                 raise ValueError("index beyond the"
                                  f" table of length {len(self.values)}")
-            out = self.values[idx.astype(np.int64) - 1]
+            idx = np.rint(x).astype(np.intp)
+            idx -= 1
+            out = self.values.take(idx)
         else:
             out = self._formula(np.maximum(x, float(DEFAULT_N_MIN)))
-        out = np.minimum(out, WIDTH_CAP)
         if np.ndim(n) == 0:
-            return float(out)
-        return out
+            return float(min(out, WIDTH_CAP))
+        return np.minimum(out, WIDTH_CAP, out=out)   # out is a new array
 
     def check_cap(self, n: int) -> None:
         """Raise ValueError if a given width up to index n exceeds WIDTH_CAP.

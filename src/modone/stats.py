@@ -308,11 +308,17 @@ def k_level_correlation(pts: TorusPoints, window: CorrelationWindow) -> float:
 # discrepancy
 
 
-def _extremes(y: np.ndarray, i: np.ndarray, m: int) -> tuple[float, float]:
+def _extremes(y: np.ndarray, i: np.ndarray, m: int,
+              out: np.ndarray | None = None) -> tuple[float, float]:
     """The largest (j + 1)/m - y[j] and y[j] - j/m over a run of the m sorted
-    points, with i holding the ranks j of the run and one more."""
-    over = np.max(i[1:y.size + 1] / m - y)    # interval ending just below a point
-    under = np.max(y - i[:y.size] / m)        # interval starting just above one
+    points, with i holding the ranks j of the run and one more. Both are
+    computed in `out[:2 * y.size + 1]` when given, else in one new array."""
+    k = y.size
+    buf = np.empty(2 * k + 1) if out is None else out[:2 * k + 1]
+    t, d = buf[:k + 1], buf[k + 1:]
+    np.divide(i[:k + 1], m, out=t)
+    over = np.max(np.subtract(t[1:], y, out=d))     # interval ending just below a point
+    under = np.max(np.subtract(y, t[:k], out=d))    # interval starting just above one
     return over, under
 
 
@@ -378,11 +384,12 @@ def discrepancy_profile(seq: RealSequence, grid: str = "full",
         d_vals = np.empty(n, dtype=np.float64)
         s_vals = np.empty(n, dtype=np.float64)
         buf = np.empty(n, dtype=np.float64)   # the sorted prefix, grown in place
+        scratch = np.empty(2 * n + 1, dtype=np.float64)
         for m in range(1, n + 1):
             pos = int(np.searchsorted(buf[:m - 1], fracs[m - 1]))
             buf[pos + 1:m] = buf[pos:m - 1]
             buf[pos] = fracs[m - 1]
-            d_vals[m - 1], s_vals[m - 1] = _from_extremes(*_extremes(buf[:m], i, m))
+            d_vals[m - 1], s_vals[m - 1] = _from_extremes(*_extremes(buf[:m], i, m, scratch))
     elif grid == "geometric":
         n_grid = _geometric_grid(n, ratio)
         d_vals = np.empty(n_grid.size, dtype=np.float64)
@@ -411,16 +418,31 @@ class EnergyResult:
         return self.count / self.n**3
 
 
+def _past_bound(reach: np.ndarray, at: np.ndarray, p: np.ndarray, bound: np.ndarray,
+                shift: float) -> int:
+    """#{sums in the sorted reach equal to a bound b = fl(p + shift) that lie
+    strictly inside the exact p + shift}, with `at` the rank of b among the
+    sums and shift = +-gamma. No sum lies strictly between p + shift and b,
+    so only the sums equal to b can be misjudged: they are close where the
+    TwoSum error puts the exact p + shift beyond b, and only bounds that
+    equal the sum at their rank are checked."""
+    tie = reach.take(at, mode="clip") == bound
+    if not np.count_nonzero(tie):
+        return 0
+    p, b = p[tie], bound[tie]
+    d = b - p   # TwoSum: p + shift = b + err exactly
+    err = (p - (b - d)) + (shift - d)
+    b = b[err > 0] if shift > 0 else b[err < 0]
+    return int(np.sum(np.searchsorted(reach, b, side="right")
+                      - np.searchsorted(reach, b, side="left")))
+
+
 def _close_count(queries: np.ndarray, sums: np.ndarray, gamma: float) -> int:
     """#{(p, q) in queries x sums with p - gamma < q < p + gamma}, counted per
-    p as searchsorted(p + gamma, left) - searchsorted(p - gamma, right); both
-    arrays sorted. Each block of queries searches only the slice of sums that
-    its windows reach, which stays in cache.
-
-    No sum lies strictly between p +- gamma and its rounding b, so only the
-    sums equal to b can be misjudged: they are close where the TwoSum error
-    puts the exact p +- gamma beyond b, and only bounds that equal the sum at
-    their rank are checked."""
+    p as searchsorted(p + gamma, left) - searchsorted(p - gamma, right) with
+    the rounded bounds corrected by `_past_bound`; both arrays sorted. Each
+    block of queries searches only the slice of sums that its windows reach,
+    which stays in cache."""
     count = 0
     for block in _blocks(queries.size, 1 << 12):
         chunk = queries[block]
@@ -433,15 +455,27 @@ def _close_count(queries: np.ndarray, sums: np.ndarray, gamma: float) -> int:
         lo = np.searchsorted(reach, below, side="right")
         count += int(np.sum(hi)) - int(np.sum(lo))
         lo -= 1   # the last sum <= p - gamma, as hi is the first sum >= p + gamma
-        for bound, at, sign in ((above, hi, 1.0), (below, lo, -1.0)):
-            tie = reach.take(at, mode="clip") == bound
-            if np.count_nonzero(tie):
-                p, b = chunk[tie], bound[tie]
-                d = b - p   # TwoSum: p + sign gamma = b + err exactly
-                err = (p - (b - d)) + (sign * gamma - d)
-                b = b[err * sign > 0]
-                count += int(np.sum(np.searchsorted(reach, b, side="right")
-                                    - np.searchsorted(reach, b, side="left")))
+        count += _past_bound(reach, hi, chunk, above, gamma)
+        count += _past_bound(reach, lo, chunk, below, -gamma)
+    return count
+
+
+def _close_ahead(sums: np.ndarray, stop: int, gamma: float) -> int:
+    """#{(i, j) with i < stop, i < j and sums[j] - sums[i] < gamma} over the
+    sorted sums: each close pair counted once, from its first member in
+    sums[:stop]. One searchsorted of fl(p + gamma) per p, over the sums from
+    p's block on, with the upper bound of `_close_count` corrected the same
+    way; a pair is never looked up from both ends."""
+    count = 0
+    for block in _blocks(stop, 1 << 12):
+        chunk = sums[block]
+        above = chunk + gamma
+        reach = sums[block.start:np.searchsorted(sums, above[-1], side="right")]
+        hi = np.searchsorted(reach, above, side="left")
+        # chunk[j] is reach[j], and p < fl(p + gamma) as gamma is above the
+        # float spacing of the sums, so hi > j: drop reach[:j + 1]
+        count += int(np.sum(hi)) - chunk.size * (chunk.size + 1) // 2
+        count += _past_bound(reach, hi, chunk, above, gamma)
     return count
 
 
@@ -457,9 +491,9 @@ def _sums_in(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     length = np.maximum(np.searchsorted(x, hi - x + margin, side="right") - first, 0)
     cols = np.repeat(first - (np.cumsum(length) - length), length)
     cols += np.arange(cols.size)
-    sums = np.repeat(x, length)
-    sums += x[cols]
+    sums = x.take(cols)
     del cols
+    sums += np.repeat(x, length)
     sums.sort()
     return sums[np.searchsorted(sums, lo, side="left"):np.searchsorted(sums, hi, side="left")]
 
@@ -487,13 +521,17 @@ def additive_energy(seq: RealSequence, gamma: float) -> EnergyResult:
     Sorts x once. The N(N-1)/2 off-diagonal sums x_a + x_b (a < b) stand for
     two ordered pairs each; the diagonal sums 2 x_a come out sorted. With
     C(P, Q) the close pairs counted for each p in P among the sorted Q,
-    E = 4 C(off, off) + 4 C(off, diag) + C(diag, diag), as _close_count
-    decides |p - q| < gamma exactly, so C(diag, off) = C(off, diag).
-    The off-diagonal sums are taken in value slabs [L, U) of about
-    _SLAB_SUMS each: a query p in the slab can only meet sums in
-    [L - gamma, U + gamma), which are gathered and sorted per slab, so the
-    memory stays bounded while every count is the one over all sums. The
-    diagonal (c,d) = (a,b) makes the count at least N^2.
+    E = 4 C(off, off) + 4 C(diag, off) + C(diag, diag). C(off, off) is
+    #off + 2 F, F the close pairs of off-diagonal sums at distinct places in
+    sorted order, each counted once from its lower member (`_close_ahead`).
+    The cross term is counted from the diagonal side: _close_count decides
+    |p - q| < gamma exactly, so C(diag, off) = C(off, diag), at 2N lookups
+    per slab in place of two per off-diagonal sum. The off-diagonal sums are
+    taken in value slabs [L, U) of about _SLAB_SUMS each: a pair counted
+    from p in the slab has its upper member in [L, U + gamma), which is
+    gathered and sorted per slab, so the memory stays bounded while every
+    count is the one over all sums. The diagonal (c,d) = (a,b) makes the
+    count at least N^2.
     """
     if not gamma > 0:
         raise ValueError("need gamma > 0")
@@ -508,9 +546,13 @@ def additive_energy(seq: RealSequence, gamma: float) -> EnergyResult:
     count = _close_count(diag, diag, gamma)
     bounds = _slab_bounds(x, -(-(n * (n - 1) // 2) // _SLAB_SUMS))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        near = _sums_in(x, lo - gamma, hi + gamma)
-        own = near[np.searchsorted(near, lo, side="left"):np.searchsorted(near, hi, side="left")]
-        count += 4 * (_close_count(own, near, gamma) + _close_count(own, diag, gamma))
+        # fl(U + gamma) can round below U + gamma onto a sum that is close to
+        # one just below U, so the slab reaches one float further
+        near = _sums_in(x, lo, np.nextafter(hi + gamma, math.inf))
+        own = int(np.searchsorted(near, hi, side="left"))
+        count += 4 * (own + 2 * _close_ahead(near, own, gamma)
+                      + _close_count(diag, near[:own], gamma))
+        del near   # before the next slab's sums are built
     return EnergyResult(count=count, gamma=float(gamma), n=n)
 
 

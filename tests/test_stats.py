@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from modone import (CorrelationWindow, RealSequence, TorusPoints,
 from modone.generators import GOLDEN_ALPHA, arithmetic_sequence
 from modone.seqcore import scale_by_alpha
 from modone import stats as stats_module
-from modone.stats import _close_count, _geometric_grid, _moebius_terms, _rank, _sums_in
+from modone.stats import (_close_ahead, _close_count, _geometric_grid, _moebius_terms, _rank,
+                          _sums_in)
 
 from oracles import (brute_discrepancy, brute_energy_count, brute_k_level_count,
                      brute_pair_count, brute_star_discrepancy, extended_k_level_count,
@@ -500,6 +502,44 @@ def test_close_count_is_symmetric_on_lattice_sums(step, m):
     diag = x + x
     for gamma in (m * step, np.nextafter(m * step, np.inf)):
         assert _close_count(off, diag, gamma) == _close_count(diag, off, gamma), gamma
+
+
+def _off_sums(x):
+    return np.sort((x[:, None] + x[None, :])[np.triu_indices(x.size, 1)])
+
+
+@pytest.mark.parametrize("step", [1.0, 0.25, 0.1])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_close_ahead_counts_each_close_pair_once(step, m):
+    # 7260 sums, so the query block edge at 4096 falls inside a run of equal sums
+    sums = _off_sums(np.arange(-60, 61) * step)
+    assert sums[4095] == sums[4096]
+    for gamma in (m * step, np.nextafter(m * step, np.inf)):
+        assert (sums.size + 2 * _close_ahead(sums, sums.size, gamma)
+                == _close_count(sums, sums, gamma)), gamma
+
+
+def test_close_ahead_counts_sums_on_a_rounded_bound():
+    # fl(p + gamma) rounds down onto the sum p + 1 < p + gamma, which is close
+    sums = _off_sums(np.arange(1.0, 13.0))
+    gamma = np.nextafter(1.0, 2.0)
+    close = int(np.sum(np.abs(sums[:, None] - sums[None, :]) < gamma))
+    assert sums.size + 2 * _close_ahead(sums, sums.size, gamma) == close
+    assert _close_count(sums, sums, gamma) == close
+
+
+def test_energy_counts_close_sums_past_a_slab_edge():
+    # with a slab per sum, fl(U + gamma) = 4 rounds below U + gamma for the cut
+    # U = 1 + 2^-51, and the sum 4 = 1.5 + 2.5 lies within gamma of the sum
+    # 1 + 2^-52 just below U; float differences of the sums round, so the
+    # reference decides |p - q| < gamma in exact rationals
+    x = np.array([0.0, 1 + 2**-52, 1 + 2**-51, 1.5, 2.5])
+    sums = [Fraction(float(a) + float(b)) for a in x for b in x]
+    exact = sum(abs(p - q) < 3 for p in sums for q in sums)
+    for slab in (1, 2, 1 << 18):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats_module, "_SLAB_SUMS", slab)
+            assert additive_energy(RealSequence(x), 3.0).count == exact == 597, slab
 
 
 @given(st.lists(st.integers(min_value=0, max_value=60), min_size=2, max_size=30),
