@@ -14,7 +14,7 @@ import time
 from . import io as mio
 from .experiments import (_BASE_PARAMETER, _KIND_PARAMETER, GeneratorConfig,
                           check_g_conditions, energy_certificate, run_trials)
-from .generators import _SCALE_PARAMETER, LIOUVILLE_ALPHA
+from .generators import _SCALE_PARAMETER, LIOUVILLE_ALPHA, ScaleFunction
 from .seqcore import RealSequence, frac_reduce
 from .stats import (CorrelationWindow, additive_energy, discrepancy,
                     discrepancy_profile, gap_distribution, k_level_correlation,
@@ -217,8 +217,7 @@ def _cmd_check(args) -> list:
     if args.what == "gcond":
         if args.scale is None or args.n is None:
             raise _CliError("check gcond requires --scale and --n")
-        param = _SCALE_PARAMETER[args.scale]
-        scale = mio._scale_from_dict({"family": args.scale, param: getattr(args, param)})
+        scale = getattr(ScaleFunction, args.scale)(getattr(args, _SCALE_PARAMETER[args.scale]))
         config = _generator(args)
 
         def report():

@@ -34,9 +34,7 @@ The table's edges, levels and running integral (48 B/point) and the widths or
 sorted arc ends are N-sized, filled by whole-array passes that gather into them
 and sum in place in index order. Only the two integrals over segments run over
 blocks of _SEGMENTS, as their per-segment temporaries would otherwise sit next
-to the table; they add per-block sums, which moves only their last bits. The
-window ends x + w and x - w of a block of edges form at most two sorted runs,
-each ranked against only the edges it reaches.
+to the table; they add per-block sums, which moves only their last bits.
 """
 
 from __future__ import annotations
@@ -120,39 +118,25 @@ def _level_table(base: RealSequence, widths: np.ndarray, per_point: int):
     return edges, level, cumulative
 
 
-def _integral(table, turns, u, k):
-    """R(t) at t = turns + u, u in segment k, for the integral R from 0 of the
-    periodic extension of a level table."""
+def _located(table, t):
+    """R(t) for the integral R from 0 of the periodic extension of a level
+    table, with the fractional part u of each t and the segment k of u. The
+    u are ranked among only the edges from their least to their largest,
+    which for a block of window ends that does not wrap is a short slice."""
     edges, level, cumulative = table
-    return turns * cumulative[-1] + cumulative[k] + level[k] * (u - edges[k])
-
-
-def _rotated(edges, t):
-    """The turns and fractional parts u of an ascending t that spans at most
-    one turn, and the segment k of each u. u is sorted but for one wrap, and
-    each sorted run is ranked against only the slice of edges it reaches, as
-    np.searchsorted over all of them would rank it."""
     turns = np.floor(t)
     u = t - turns
-    k = np.empty(u.size, dtype=np.intp)
-    cut = int(np.searchsorted(turns, turns[-1]))
-    for run in (slice(0, cut), slice(cut, None)):
-        q = u[run]
-        if q.size:
-            lo, hi = np.searchsorted(edges[:-1], q[[0, -1]], side="right")
-            k[run] = np.searchsorted(edges[lo:hi], q, side="right") + (lo - 1)
-    return turns, u, k
+    lo, hi = np.searchsorted(edges[:-1], [np.min(u, initial=1.0), np.max(u, initial=0.0)],
+                             side="right")
+    k = np.searchsorted(edges[lo:hi], u, side="right") + (lo - 1)
+    return turns * cumulative[-1] + cumulative[k] + level[k] * (u - edges[k]), u, k
 
 
 def _window_mass(table, xs, lo, hi):
-    """R(x + hi) - R(x + lo), the mass over [x + lo, x + hi], for the integral
-    R from 0 of the periodic extension of a level table."""
-    def integral(t):
-        turns = np.floor(t)
-        u = t - turns
-        return _integral(table, turns, u, np.searchsorted(table[0][:-1], u, side="right") - 1)
+    """R(x + hi) - R(x + lo), the mass over [x + lo, x + hi], and both ends' _located."""
+    lower, upper = _located(table, xs + lo), _located(table, xs + hi)
     # the exact value is >= 0; clamp the rounding residue of the difference
-    return np.maximum(integral(xs + hi) - integral(xs + lo), 0.0)
+    return np.maximum(upper[0] - lower[0], 0.0), lower, upper
 
 
 def _pair_integral(table, w):
@@ -167,19 +151,19 @@ def _pair_integral(table, w):
     """
     edges, level, _ = table
 
-    def bends(rotation, delta):
-        _, bend, j = rotation
+    def bends(end, delta):
+        _, bend, j = end
         bend, j = bend[:-1], j[:-1]
         return float(np.sum(level[j] * delta * (edges[j + 1] - bend) * (bend - edges[j])))
     trapezoids = below = above = 0.0
     for b in _blocks(level.size, _SEGMENTS):
         pts, f = edges[b.start:b.stop + 1], level[b]
-        lo, hi = _rotated(edges, pts - w), _rotated(edges, pts + w)
-        h = np.maximum(_integral(table, *hi) - _integral(table, *lo), 0.0)
+        h, lo, hi = _window_mass(table, pts, -w, w)
         trapezoids += float(np.sum(f * 0.5 * (h[:-1] + h[1:]) * np.diff(pts)))
         jump = f - (level[b.start - 1:b.stop - 1] if b.start else np.append(level[-1], f[:-1]))
         below += bends(lo, jump)
         above += bends(hi, -jump)
+        del h, lo, hi, jump   # before the next block's lookups
     return trapezoids - 0.5 * below - 0.5 * above
 
 
@@ -223,7 +207,7 @@ def expected_window_count(base: RealSequence, scale: ScaleFunction,
     check_pair_window(s, base.n)
     table = _level_table(base, _widths(base, scale), 1)
     w = s / base.n
-    out = _window_mass(table, xs, -w, w)
+    out = _window_mass(table, xs, -w, w)[0]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -308,13 +308,12 @@ def k_level_correlation(pts: TorusPoints, window: CorrelationWindow) -> float:
 # discrepancy
 
 
-def _extremes(y: np.ndarray, i: np.ndarray, m: int,
-              out: np.ndarray | None = None) -> tuple[float, float]:
+def _extremes(y: np.ndarray, i: np.ndarray, m: int) -> tuple[float, float]:
     """The largest (j + 1)/m - y[j] and y[j] - j/m over a run of the m sorted
     points, with i holding the ranks j of the run and one more. Both are
-    computed in `out[:2 * y.size + 1]` when given, else in one new array."""
+    computed in one new array."""
     k = y.size
-    buf = np.empty(2 * k + 1) if out is None else out[:2 * k + 1]
+    buf = np.empty(2 * k + 1)
     t, d = buf[:k + 1], buf[k + 1:]
     np.divide(i[:k + 1], m, out=t)
     over = np.max(np.subtract(t[1:], y, out=d))     # interval ending just below a point
@@ -384,12 +383,11 @@ def discrepancy_profile(seq: RealSequence, grid: str = "full",
         d_vals = np.empty(n, dtype=np.float64)
         s_vals = np.empty(n, dtype=np.float64)
         buf = np.empty(n, dtype=np.float64)   # the sorted prefix, grown in place
-        scratch = np.empty(2 * n + 1, dtype=np.float64)
         for m in range(1, n + 1):
             pos = int(np.searchsorted(buf[:m - 1], fracs[m - 1]))
             buf[pos + 1:m] = buf[pos:m - 1]
             buf[pos] = fracs[m - 1]
-            d_vals[m - 1], s_vals[m - 1] = _from_extremes(*_extremes(buf[:m], i, m, scratch))
+            d_vals[m - 1], s_vals[m - 1] = _from_extremes(*_extremes(buf[:m], i, m))
     elif grid == "geometric":
         n_grid = _geometric_grid(n, ratio)
         d_vals = np.empty(n_grid.size, dtype=np.float64)
@@ -498,14 +496,25 @@ def _sums_in(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return sums[np.searchsorted(sums, lo, side="left"):np.searchsorted(sums, hi, side="left")]
 
 
+# the sampled sums that place the slab cuts, and the steps (t_1, t_2) of the
+# Kronecker sequences that pick their indices
+_CUT_PAIRS = 1 << 15
+_CUT_STEPS = ((5.0 ** 0.5 - 1.0) / 2.0, 3.0 ** 0.5 - 1.0)
+
+
 def _slab_bounds(x: np.ndarray, slabs: int) -> list:
     """Increasing cut points from -inf to inf that split the off-diagonal
     sums of the sorted x into about `slabs` equal parts, read off the sums
-    of a strided sample of x."""
+    x_a + x_b, a != b, at the quasi-random pairs a = floor(N frac(j t_1)),
+    b = floor(N frac(j t_2)), j = 1.._CUT_PAIRS. The pairs cover the index
+    square evenly, so the sample follows the sums also where they lie on a
+    lattice, as they do for x_n near 2n."""
     if slabs <= 1:
         return [-math.inf, math.inf]
-    s = x[::max(1, x.size // 256)]
-    sample = (s[:, None] + s[None, :])[np.triu_indices(s.size, 1)]
+    j = np.arange(1.0, _CUT_PAIRS + 1.0)
+    a, b = ((j * t % 1.0 * x.size).astype(np.intp) for t in _CUT_STEPS)
+    del j
+    sample = (x[a] + x[b])[a != b]
     sample.sort()
     cuts = np.unique(sample[np.arange(1, slabs) * sample.size // slabs])
     return [-math.inf, *cuts.tolist(), math.inf]

@@ -118,10 +118,17 @@ def geometric_grid_loop(n, ratio):
 
 
 def brute_energy_count(values, gamma):
-    """Ordered quadruples |x_a + x_b - x_c - x_d| < gamma by full N^2 x N^2
-    comparison."""
+    """Ordered quadruples |p - q| < gamma over the computed sums
+    p = x_a + x_b and q = x_c + x_d, by full N^2 x N^2 comparison decided
+    exactly: d = fl(p - q) and its rounding error e (TwoSum) give
+    p - q = d + e, so |p - q| < gamma when |d| < gamma, or when |d| = gamma
+    and e points back towards 0."""
     sums = np.add.outer(values, values).ravel()
-    return int(np.sum(np.abs(sums[:, None] - sums[None, :]) < gamma))
+    p, q = sums[:, None], sums[None, :]
+    d = p - q
+    part = d - p
+    e = (p - (d - part)) - (q + part)
+    return int(np.sum((np.abs(d) < gamma) | ((np.abs(d) == gamma) & (np.sign(e) == -np.sign(d)))))
 
 
 def brute_discrepancy(points):

@@ -15,7 +15,7 @@ from modone.generators import GOLDEN_ALPHA, arithmetic_sequence
 from modone.seqcore import scale_by_alpha
 from modone import stats as stats_module
 from modone.stats import (_close_ahead, _close_count, _geometric_grid, _moebius_terms, _rank,
-                          _sums_in)
+                          _slab_bounds, _sums_in)
 
 from oracles import (brute_discrepancy, brute_energy_count, brute_k_level_count,
                      brute_pair_count, brute_star_discrepancy, extended_k_level_count,
@@ -531,15 +531,27 @@ def test_close_ahead_counts_sums_on_a_rounded_bound():
 def test_energy_counts_close_sums_past_a_slab_edge():
     # with a slab per sum, fl(U + gamma) = 4 rounds below U + gamma for the cut
     # U = 1 + 2^-51, and the sum 4 = 1.5 + 2.5 lies within gamma of the sum
-    # 1 + 2^-52 just below U; float differences of the sums round, so the
-    # reference decides |p - q| < gamma in exact rationals
+    # 1 + 2^-52 just below U
     x = np.array([0.0, 1 + 2**-52, 1 + 2**-51, 1.5, 2.5])
-    sums = [Fraction(float(a) + float(b)) for a in x for b in x]
-    exact = sum(abs(p - q) < 3 for p in sums for q in sums)
     for slab in (1, 2, 1 << 18):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stats_module, "_SLAB_SUMS", slab)
-            assert additive_energy(RealSequence(x), 3.0).count == exact == 597, slab
+            count = additive_energy(RealSequence(x), 3.0).count
+            assert count == brute_energy_count(x, 3.0) == 597, slab
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+       st.sampled_from([0.1, 0.3, 1.0 / 3.0]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_brute_energy_count_matches_rational_count(ints, step, data):
+    # decimal steps make the sums and their float differences round, and gamma
+    # is one of those differences, so |fl(p - q)| = gamma comes up
+    x = np.array(ints, dtype=np.float64) * step
+    sums = np.add.outer(x, x).ravel()
+    gaps = np.unique(np.abs(sums[:, None] - sums[None, :]))
+    gamma = float(data.draw(st.sampled_from(gaps[gaps > 0].tolist() or [step])))
+    exact = [Fraction(float(p)) for p in sums]
+    assert brute_energy_count(x, gamma) == sum(abs(p - q) < gamma for p in exact for q in exact)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=60), min_size=2, max_size=30),
@@ -553,6 +565,20 @@ def test_sums_in_a_range_are_the_computed_sums(ints, step, data):
     ends = [-np.inf, np.inf, *sums, *np.nextafter(sums, np.inf), *np.nextafter(sums, -np.inf)]
     lo, hi = sorted([data.draw(st.sampled_from(ends)), data.draw(st.sampled_from(ends))])
     assert_array_equal(_sums_in(x, lo, hi), sums[(sums >= lo) & (sums < hi)])
+
+
+def test_slab_cuts_follow_sums_on_a_lattice():
+    # x_n near 2n puts the sums near a lattice, which the sampled sums must
+    # follow for the slabs to stay near their target size
+    n, target = 4096, 1 << 12
+    x = np.sort(gen_theorem1(1.0, n, 1).values)
+    bounds = _slab_bounds(x, -(-(n * (n - 1) // 2) // target))
+    # the sums x_a + x_b, a < b, below each cut: one searchsorted per cut
+    rows = np.arange(1, n + 1)
+    below = [int(np.sum(np.maximum(np.searchsorted(x, cut - x) - rows, 0)))
+             for cut in bounds[1:-1]]
+    sizes = np.diff([0, *below, n * (n - 1) // 2])
+    assert sizes.max() <= 2 * target, sizes.max() / target
 
 
 def test_energy_monotone_in_gamma(rng):
