@@ -16,23 +16,23 @@ of rho exactly 1 for points near 0. Both integrands are piecewise polynomial
 of degree <= 1 between breakpoints, so every integral here is computed
 exactly (up to rounding) rather than by quadrature.
 
-Breakpoint tables: each arc A_n is stored by its start and end reduced into
-[0, 1); an arc whose end lies below its start wraps through 0. A weighted sum
-of arc indicators at x in [0, 1) is then the total weight of the wrapping
-arcs, plus the weight of the arcs that start at or before x, minus the weight
-of those that end before x: two searchsorted lookups into cumulative sums. Level tables sort all 2N
-breakpoints together and give the value on each segment between them; an
-integer cover count is carried next to each float level, so the level is
-exactly 0.0 wherever no arc covers. Each public call builds one such table
-and reads all it needs off it at O((N + M) log N) cost for M queries. The mass
+Level table: each arc A_n is stored by its start and end reduced into [0, 1);
+an arc whose end lies below its start wraps through 0. The table sorts all 2N
+ends together and gives the value on each segment between them; an integer
+cover count is carried next to each float level, so the level is exactly 0.0
+wherever no arc covers. Each public call builds one such table and reads all
+it needs off it at O((N + M) log N) cost for M queries. rho off the edges is
+the level of the segment that holds x; where edges coincide, the stable sort
+puts every start before every end, so at an edge rho is the peak of the levels
+through the run of edges equal to x, which counts every closed arc. The mass
 over a window [x + lo, x + hi] is the difference of the table's integral at the
 two ends; h_s is the mass over [x - s/N, x + s/N], and the pair integral sums
 rho * h_s over the segments, with one exact correction per bend of h_s inside.
 
 Memory: a call holds at most 64 bytes per point above its inputs (tracemalloc).
-The table's edges, levels and running integral (48 B/point) and the widths or
-sorted arc ends are N-sized, filled by whole-array passes that gather into them
-and sum in place in index order. Only the two integrals over segments run over
+The table's edges, levels and running integral (48 B/point) and the weights
+are N-sized, filled by whole-array passes that gather into them and sum in
+place in index order. Only the two integrals over segments run over
 blocks of _SEGMENTS, as their per-segment temporaries would otherwise sit next
 to the table; they add per-block sums, which moves only their last bits.
 """
@@ -68,30 +68,28 @@ def _widths(base: RealSequence, scale: ScaleFunction) -> np.ndarray:
     return widths
 
 
-def _arcs(base: RealSequence, widths: np.ndarray, per_point: int, start, end):
-    """Fill start and end with the ends in [0, 1) of each closed arc
-    [x_n - g(n), x_n + g(n)], and overwrite the widths with the weights
-    1 / (2 g(n) per_point). An arc wraps through 0 when its end lies below its
-    start. Returns the summed weight of the wrapping arcs and their number."""
-    centres = frac_part(base.values)
-    start[:] = frac_part(centres - widths)
-    end[:] = frac_part(np.add(centres, widths, out=centres))
-    np.divide(1.0, 2.0 * widths * per_point, out=widths)
-    wrapped = widths[end < start]
-    return float(np.sum(wrapped)), wrapped.size
-
-
 def _level_table(base: RealSequence, widths: np.ndarray, per_point: int):
     """The segments on [0, 1) of f = sum_n 1_{A_n} / (2 g(n) per_point), from
-    the widths, which it overwrites: the edges (0, the 2N sorted arc ends,
-    and 1, which closes the last segment), the value of f on each segment
-    (0.0 where no arc covers), and the running integral of f at the edges.
+    the widths, which it overwrites with the weights 1 / (2 g(n) per_point):
+    the edges (0, the 2N sorted arc ends, and 1, which closes the last
+    segment), the value of f on each segment (0.0 where no arc covers), and
+    the running integral of f at the edges. Each arc is stored by its start
+    and end in [0, 1) and wraps through 0 when its end lies below its start.
     The wrapping arcs carry f and the cover count at 0; each arc steps them up
     at its start and down at its end, and the running sums add the steps in
     sorted order."""
     n = base.n
     pos = np.empty(2 * n)
-    first, cover = _arcs(base, widths, per_point, pos[:n], pos[n:])
+    centres = frac_part(base.values)
+    pos[:n] = frac_part(centres - widths)
+    pos[n:] = frac_part(np.add(centres, widths, out=centres))
+    np.divide(1.0, 2.0 * widths * per_point, out=widths)
+    wrapped = widths[pos[n:] < pos[:n]]
+    first, cover = float(np.sum(wrapped)), wrapped.size
+    del centres, wrapped
+    # the stable sort of [starts, ends] puts every start before every end
+    # among equal edges, so on a run of edges equal to x f rises through the
+    # starts and falls through the ends: its peak is f(x) over closed arcs
     order = np.argsort(pos, kind="stable")
     edges = np.empty(2 * n + 2)
     edges[0], edges[-1] = 0.0, 1.0
@@ -167,31 +165,18 @@ def _pair_integral(table, w):
     return trapezoids - 0.5 * below - 0.5 * above
 
 
-def _sorted_running(keys: np.ndarray, weights: np.ndarray):
-    """The keys sorted, and 0 then the running sums of the weights in that
-    order."""
-    order = np.argsort(keys)
-    running = np.zeros(keys.size + 1)
-    np.take(weights, order, out=running[1:], mode="clip")
-    np.cumsum(running[1:], out=running[1:])
-    return keys[order], running
-
-
 def perturbation_density(base: RealSequence, scale: ScaleFunction, x) -> np.ndarray | float:
-    """rho evaluated pointwise (vectorized over x); arc membership is closed."""
+    """rho evaluated pointwise (vectorized over x); arc membership is closed:
+    on a run of edges equal to x, rho is the peak of the levels through it."""
     xs = frac_part(_query(x))
-    # not read off the level table: that sums the steps in another order and moves last bits
-    n = base.n
-    heights, start, end = _widths(base, scale), np.empty(n), np.empty(n)
-    first, wrapped = _arcs(base, heights, n, start, end)
-    starts, opened_mass = _sorted_running(start, heights)
-    del start
-    ends, closed_mass = _sorted_running(end, heights)
-    opened = np.searchsorted(starts, xs, side="right")
-    closed = np.searchsorted(ends, xs, side="left")
-    cover = wrapped + opened - closed
-    level = first + opened_mass[opened] - closed_mass[closed]
-    out = np.where(cover > 0, level, 0.0)
+    edges, level, _ = _level_table(base, _widths(base, scale), base.n)
+    last = np.searchsorted(edges[:-1], xs, side="right") - 1
+    out = level[last]
+    if np.any(on := edges[last] == xs):
+        lo, hi = np.maximum(np.searchsorted(edges, xs[on], side="left") - 1, 0), last[on]
+        # reduceat over [lo, hi), as hi + 1 may lie past the levels
+        peak = np.maximum.reduceat(level, np.column_stack([lo, hi]).ravel())[::2]
+        out[on] = np.maximum(peak, level[hi])
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

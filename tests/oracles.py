@@ -29,17 +29,16 @@ def window_membership(diffs, lo, hi, n):
 
 def _distinct_tuples(memb, n):
     """Tuples (a_1, ..., a_k) of distinct indices with memb[j][a_1, a_(j+2)] for
-    every slot j, by full enumeration."""
+    every slot j, by enumeration of every (k-1)-prefix over each slot's
+    members; the last slot counts its members less the anchor and the chosen."""
+    members = [[np.flatnonzero(row).tolist() for row in m] for m in memb]
+    held, last = memb[-1].tolist(), len(memb) - 1
+
     def rec(anchor, chosen, slot):
-        if slot == len(memb):
-            return 1
-        total = 0
-        for a in range(n):
-            if a == anchor or a in chosen:
-                continue
-            if memb[slot][anchor, a]:
-                total += rec(anchor, chosen + (a,), slot + 1)
-        return total
+        if slot == last:
+            return len(members[slot][anchor]) - sum(held[anchor][a] for a in (anchor, *chosen))
+        return sum(rec(anchor, chosen + (a,), slot + 1) for a in members[slot][anchor]
+                   if a != anchor and a not in chosen)
 
     return sum(rec(a1, (), 0) for a1 in range(n))
 
