@@ -22,19 +22,21 @@ ends together and gives the value on each segment between them; an integer
 cover count is carried next to each float level, so the level is exactly 0.0
 wherever no arc covers. Each public call builds one such table and reads all
 it needs off it at O((N + M) log N) cost for M queries. rho off the edges is
-the level of the segment that holds x; where edges coincide, the stable sort
-puts every start before every end, so at an edge rho is the peak of the levels
-through the run of edges equal to x, which counts every closed arc. The mass
-over a window [x + lo, x + hi] is the difference of the table's integral at the
-two ends; h_s is the mass over [x - s/N, x + s/N], and the pair integral sums
-rho * h_s over the segments, with one exact correction per bend of h_s inside.
+the level of the segment that holds x; where edges coincide, the table keeps
+them in index order, every start before every end, so at an edge rho is the
+peak of the levels through the run of edges equal to x, which counts every
+closed arc. The mass over a window [x + lo, x + hi] is the difference of the
+table's running integral at the two ends; h_s is the mass over
+[x - s/N, x + s/N], and the pair integral sums rho * h_s over the segments,
+with one exact correction per bend of h_s inside.
 
 Memory: a call holds at most 64 bytes per point above its inputs (tracemalloc).
-The table's edges, levels and running integral (48 B/point) and the weights
-are N-sized, filled by whole-array passes that gather into them and sum in
-place in index order. Only the two integrals over segments run over
-blocks of _SEGMENTS, as their per-segment temporaries would otherwise sit next
-to the table; they add per-block sums, which moves only their last bits.
+The table's edges and levels (32 B/point), the running integral (16 B/point)
+where a window mass reads it, and the weights are N-sized, filled by
+whole-array passes that gather into them and sum in place in index order.
+Only the two integrals over segments run over blocks of _SEGMENTS, as their
+per-segment temporaries would otherwise sit next to the table; they add
+per-block sums, which moves only their last bits.
 """
 
 from __future__ import annotations
@@ -68,13 +70,30 @@ def _widths(base: RealSequence, scale: ScaleFunction) -> np.ndarray:
     return widths
 
 
+def _sorted_order(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.argsort(pos, kind="stable"), with pos in that order written to
+    edges: the default sort, which may reorder equal values, and then index
+    order restored in each run of equal edges. Values in a run differ at most
+    in the sign of 0, so the run's edges are gathered again."""
+    order = np.argsort(pos)
+    np.take(pos, order, out=edges, mode="clip")     # "raise" would buffer a copy
+    same = edges[1:] == edges[:-1]
+    if same.any():
+        tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
+        runs = order[tied]
+        # the tied edges are sorted, so each run keeps its place
+        order[tied] = runs = runs[np.lexsort((runs, edges[tied]))]
+        edges[tied] = pos[runs]
+    return order
+
+
 def _level_table(base: RealSequence, widths: np.ndarray, per_point: int):
     """The segments on [0, 1) of f = sum_n 1_{A_n} / (2 g(n) per_point), from
     the widths, which it overwrites with the weights 1 / (2 g(n) per_point):
     the edges (0, the 2N sorted arc ends, and 1, which closes the last
-    segment), the value of f on each segment (0.0 where no arc covers), and
-    the running integral of f at the edges. Each arc is stored by its start
-    and end in [0, 1) and wraps through 0 when its end lies below its start.
+    segment) and the value of f on each segment (0.0 where no arc covers).
+    Each arc is stored by its start and end in [0, 1) and wraps through 0
+    when its end lies below its start.
     The wrapping arcs carry f and the cover count at 0; each arc steps them up
     at its start and down at its end, and the running sums add the steps in
     sorted order."""
@@ -87,13 +106,12 @@ def _level_table(base: RealSequence, widths: np.ndarray, per_point: int):
     wrapped = widths[pos[n:] < pos[:n]]
     first, cover = float(np.sum(wrapped)), wrapped.size
     del centres, wrapped
-    # the stable sort of [starts, ends] puts every start before every end
-    # among equal edges, so on a run of edges equal to x f rises through the
-    # starts and falls through the ends: its peak is f(x) over closed arcs
-    order = np.argsort(pos, kind="stable")
+    # among equal edges the order keeps index order, so every start before
+    # every end: on a run of edges equal to x f rises through the starts and
+    # falls through the ends, and its peak is f(x) over closed arcs
     edges = np.empty(2 * n + 2)
     edges[0], edges[-1] = 0.0, 1.0
-    np.take(pos, order, out=edges[1:-1], mode="clip")   # "raise" would buffer a copy
+    order = _sorted_order(pos, edges[1:-1])
     del pos
     level = np.empty(2 * n + 1)
     level[0], steps = first, level[1:]
@@ -108,8 +126,14 @@ def _level_table(base: RealSequence, widths: np.ndarray, per_point: int):
     np.cumsum(steps, out=steps)
     np.add(first, steps, out=steps)
     steps[covers == 0] = 0.0
-    del covers
-    cumulative = np.zeros(2 * n + 2)
+    return edges, level
+
+
+def _with_integral(table):
+    """The level table (edges, level) and the running integral of f at its
+    edges, which _located reads."""
+    edges, level = table
+    cumulative = np.zeros(edges.size)
     np.subtract(edges[1:], edges[:-1], out=cumulative[1:])
     cumulative[1:] *= level
     np.cumsum(cumulative[1:], out=cumulative[1:])
@@ -169,7 +193,7 @@ def perturbation_density(base: RealSequence, scale: ScaleFunction, x) -> np.ndar
     """rho evaluated pointwise (vectorized over x); arc membership is closed:
     on a run of edges equal to x, rho is the peak of the levels through it."""
     xs = frac_part(_query(x))
-    edges, level, _ = _level_table(base, _widths(base, scale), base.n)
+    edges, level = _level_table(base, _widths(base, scale), base.n)
     last = np.searchsorted(edges[:-1], xs, side="right") - 1
     out = level[last]
     if np.any(on := edges[last] == xs):
@@ -190,7 +214,7 @@ def expected_window_count(base: RealSequence, scale: ScaleFunction,
     """
     xs = _query(x)
     check_pair_window(s, base.n)
-    table = _level_table(base, _widths(base, scale), 1)
+    table = _with_integral(_level_table(base, _widths(base, scale), 1))
     w = s / base.n
     out = _window_mass(table, xs, -w, w)[0]
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -198,7 +222,7 @@ def expected_window_count(base: RealSequence, scale: ScaleFunction,
 
 def sweep_density_integrals(base: RealSequence, scale: ScaleFunction):
     """Exact (integral of rho, integral of rho^2) over the circle."""
-    edges, rho, _ = _level_table(base, _widths(base, scale), base.n)
+    edges, rho = _level_table(base, _widths(base, scale), base.n)
     total = total_sq = 0.0
     for b in _blocks(rho.size, _SEGMENTS):
         f, lens = rho[b], np.diff(edges[b.start:b.stop + 1])
@@ -223,7 +247,7 @@ def expected_pair_correlation(base: RealSequence, scale: ScaleFunction,
     of N rho (_pair_integral).
     """
     check_pair_window(s, base.n)
-    table = _level_table(base, _widths(base, scale), 1)
+    table = _with_integral(_level_table(base, _widths(base, scale), 1))
     n = base.n
     return _pair_integral(table, s / n) / n, s / (n * float(scale.eval(n)))
 
@@ -243,4 +267,4 @@ def expected_pair_mean(base: RealSequence, scale: ScaleFunction, s: float) -> fl
         raise ValueError(f"window s/N = {w:g} exceeds 1 - 2 g(n) = {room:g}, where "
                          "the difference of a point's own shifts wraps round the circle")
     self_pairs = float(np.mean(1.0 - np.square(np.maximum(1.0 - w / (2.0 * widths), 0.0))))
-    return _pair_integral(_level_table(base, widths, 1), w) / base.n - self_pairs
+    return _pair_integral(_with_integral(_level_table(base, widths, 1)), w) / base.n - self_pairs

@@ -162,6 +162,26 @@ def brute_star_discrepancy(points):
     return best
 
 
+def insertion_profile(fracs):
+    """D_m, D*_m and the max of m D_m for every prefix of the reduced values
+    fracs, one prefix at a time: each value is inserted into the sorted prefix
+    in place, and the prefix is scored by the sorted-order extremes
+    (k + 1)/m - y[k] and y[k] - k/m over its own points."""
+    n = fracs.size
+    i = np.arange(n + 1, dtype=np.float64)
+    d, star = np.empty(n), np.empty(n)
+    buf = np.empty(n)
+    for m in range(1, n + 1):
+        pos = int(np.searchsorted(buf[:m - 1], fracs[m - 1]))
+        buf[pos + 1:m] = buf[pos:m - 1]
+        buf[pos] = fracs[m - 1]
+        t = i[:m + 1] / m
+        over, under = np.max(t[1:] - buf[:m]), np.max(buf[:m] - t[:m])
+        d[m - 1] = max(over, 0.0) + max(under, 0.0)
+        star[m - 1] = max(over, under, 0.0)
+    return d, star, float(np.max(np.arange(1, n + 1) * d))
+
+
 def riemann_density_l2(base, scale, cells):
     """Midpoint quadrature of the squared density on a uniform grid, summing
     the box indicators directly from the definition."""

@@ -67,6 +67,21 @@ def test_density_arcs_are_closed_at_dyadic_edges():
     assert_array_equal(perturbation_density(base, g, xs), [4, 2, 2, 2, 0, 0])
 
 
+# the arc ends of test_density_arcs_are_closed_at_dyadic_edges, both signs of
+# 0, and a few more: drawn from so few values, most ends fall in runs of ties
+TIED_ENDS = [0.375, 0.625, 0.9375, 0.1875, 0.125, 0.0, -0.0, 0.5, 0.3749, 1e-300]
+
+
+@given(st.lists(st.sampled_from(TIED_ENDS), min_size=1, max_size=200))
+@settings(max_examples=150, deadline=None)
+def test_level_table_order_is_the_stable_argsort(ends):
+    pos = np.array(ends)
+    edges = np.empty(pos.size)
+    stable = np.argsort(pos, kind="stable")
+    assert_array_equal(density_module._sorted_order(pos, edges), stable)
+    assert edges.tobytes() == pos[stable].tobytes()
+
+
 # dyadic centers, widths and queries keep every arc edge exact, so the
 # library and the oracles agree on closed membership at the edges
 UNIT = 2.0**-10

@@ -12,15 +12,15 @@ from modone import (CorrelationWindow, RealSequence, TorusPoints,
                     frac_reduce, gap_distribution, gen_theorem1, k_level_correlation,
                     pair_correlation, pair_correlation_count)
 from modone.generators import GOLDEN_ALPHA, arithmetic_sequence
-from modone.seqcore import scale_by_alpha
+from modone.seqcore import frac_part, scale_by_alpha
 from modone import stats as stats_module
 from modone.stats import (_close_ahead, _close_count, _geometric_grid, _moebius_terms, _rank,
                           _slab_bounds, _sums_in)
 
 from oracles import (brute_discrepancy, brute_energy_count, brute_k_level_count,
                      brute_pair_count, brute_star_discrepancy, extended_k_level_count,
-                     extended_pair_count, geometric_grid_loop, partition_moebius_terms,
-                     window_membership)
+                     extended_pair_count, geometric_grid_loop, insertion_profile,
+                     partition_moebius_terms, window_membership)
 
 
 def sorted_uniform(rng, n):
@@ -381,6 +381,16 @@ def test_discrepancy_star_sandwich(n, key):
     assert d >= 1.0 / n - 1e-15     # degenerate closed interval at any point
 
 
+def test_discrepancy_over_blocks_equals_one_row_of_all_points():
+    # 2**16 of the 2**16 + 5 points below 1/2: the first block of discrepancy
+    # ends at its largest over-candidate, read from the quotient after the block
+    rng = np.random.Generator(np.random.Philox(key=7))
+    seq = RealSequence(np.concatenate([rng.random(2**16) * 0.5, 0.5 + rng.random(5) * 0.5]))
+    prof = discrepancy_profile(seq, grid="geometric", ratio=1e300)
+    assert prof.n_grid.tolist() == [1, 2**16 + 5]
+    assert discrepancy(frac_reduce(seq)) == (prof.d_values[-1], prof.star_values[-1])
+
+
 def test_discrepancy_profile_golden_logarithmic_growth():
     seq = arithmetic_sequence(GOLDEN_ALPHA, 4096)
     prof = discrepancy_profile(seq, grid="full")
@@ -416,6 +426,35 @@ def test_full_profile_equals_discrepancy_of_each_prefix(values):
     assert_array_equal(prof.n_grid, np.arange(1, values.size + 1))
     assert_array_equal(prof.d_values, [d for d, _ in prefixes])
     assert_array_equal(prof.star_values, [s for _, s in prefixes])
+
+
+def assert_profile_is_the_insertion_oracle(values):
+    prof = discrepancy_profile(RealSequence(values), grid="full")
+    d, star, m_value = insertion_profile(frac_part(values))
+    assert prof.d_values.tobytes() == d.tobytes()
+    assert prof.star_values.tobytes() == star.tobytes()
+    assert prof.m_value.hex() == m_value.hex()
+
+
+# the first block holds the prefixes 1..256: 255 leaves it ragged, and 257
+# adds a block of one row; at 5000 a block holds 6 to 256 rows
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 5000])
+def test_full_profile_equals_the_insertion_oracle_bitwise(n):
+    rng = np.random.Generator(np.random.Philox(key=n))
+    x = rng.random(n) * 6.0 - 3.0
+    ties = np.round(x * 16) / 16
+    assert_profile_is_the_insertion_oracle(np.where(rng.random(n) < 0.5, ties, x))
+
+
+# ties, both signs of 0, integers, and -1e-300, whose fractional part rounds to 1
+TIED_VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, 2.25, -3.75, 1e-300, -1e-300]
+
+
+@given(st.lists(st.one_of(st.sampled_from(TIED_VALUES), st.floats(-4.0, 4.0, allow_nan=False)),
+                min_size=1, max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_full_profile_equals_the_insertion_oracle_on_ties(values):
+    assert_profile_is_the_insertion_oracle(np.array(values))
 
 
 @pytest.mark.parametrize("ratio", [1.001, 1.06, 1.25, 2.0, 10.0, 1e300, "1 + 2/N"])
@@ -702,3 +741,15 @@ def test_gen_to_stat_working_sets_stay_within_budget(traced_peak):
     grown = {name: (peaks[name] - traced_peak(*small[name][1:])) / 1e6
              for name in _BLOCKED_STAGES}
     assert all(mb < 1.0 for mb in grown.values()), f"MB gained from 2**19 to 2**21: {grown}"
+
+
+def test_full_profile_working_set_grows_only_by_its_outputs(traced_peak):
+    # above the input: the reduced values, the ranks, the grid and the two
+    # extremes of every prefix (40 B/point), and two row buffers and the
+    # scorer's scratch for blocks of at most 2**16 cells (2 MB) at any N. Rows
+    # that did not shrink as the prefixes grow would add 32 B/point per row
+    peaks = [traced_peak(discrepancy_profile, arithmetic_sequence(GOLDEN_ALPHA, n), "full")
+             for n in (2**13, 2**14)]
+    assert peaks[1] < 48 * 2**14 + 4e6, f"{peaks[1] / 2**14:.1f} bytes per point"
+    grown = (peaks[1] - peaks[0]) / 2**13
+    assert grown < 48, f"bytes per point gained from 2**13 to 2**14: {grown:.1f}"
