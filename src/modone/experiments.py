@@ -150,6 +150,8 @@ class TrialPlan:
             raise ValueError(f"alpha_mode values must be numbers, got {params}")
         if not all(math.isfinite(p) for p in params):
             raise ValueError(f"alpha_mode values must be finite, got {params}")
+        if mode == "fixed" and params[0] == 0:
+            raise ValueError("alpha_mode fixed dilation must be nonzero")
         if mode == "uniform" and not params[0] < params[1]:
             raise ValueError(f"alpha_mode uniform needs lo < hi, got {params}")
         alpha = max(abs(p) for p in params)

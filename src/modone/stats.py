@@ -463,64 +463,57 @@ class EnergyResult:
         return self.count / self.n**3
 
 
-def _past_bound(reach: np.ndarray, at: np.ndarray, p: np.ndarray, bound: np.ndarray,
-                shift: float) -> int:
-    """#{sums in the sorted reach equal to a bound b = fl(p + shift) that lie
-    strictly inside the exact p + shift}, with `at` the rank of b among the
-    sums and shift = +-gamma. No sum lies strictly between p + shift and b,
-    so only the sums equal to b can be misjudged: they are close where the
-    TwoSum error puts the exact p + shift beyond b, and only bounds that
-    equal the sum at their rank are checked."""
-    tie = reach.take(at, mode="clip") == bound
-    if not np.count_nonzero(tie):
-        return 0
-    p, b = p[tie], bound[tie]
-    d = b - p   # TwoSum: p + shift = b + err exactly
-    err = (p - (b - d)) + (shift - d)
-    b = b[err > 0] if shift > 0 else b[err < 0]
-    return int(np.sum(np.searchsorted(reach, b, side="right")
-                      - np.searchsorted(reach, b, side="left")))
+def _rank_sum(reach: np.ndarray, p: np.ndarray, shift: float) -> int:
+    """Sum over p of #{q in the sorted reach with q < p + shift} for
+    shift = +gamma, or with q <= p + shift for shift = -gamma, exactly. One
+    searchsorted of the rounded b = fl(p + shift) ranks every sum but those
+    equal to b, as no sum lies strictly between p + shift and b. A sum equal
+    to b is counted, or not, by the TwoSum error of b: it lies below the
+    exact p + shift where the error is positive, above where negative."""
+    sign = 1 if shift > 0 else -1
+    bound = p + shift
+    at = np.searchsorted(reach, bound, side="left" if sign > 0 else "right")
+    count = int(np.sum(at))
+    # the sum at the rank, or just below it, is the one that can equal b
+    tie = reach.take(at if sign > 0 else at - 1, mode="clip") == bound
+    if np.count_nonzero(tie):
+        p, b = p[tie], bound[tie]
+        d = b - p   # TwoSum: p + shift = b + err exactly
+        err = (p - (b - d)) + (shift - d)
+        b = b[sign * err > 0]
+        count += sign * int(np.sum(np.searchsorted(reach, b, side="right")
+                                   - np.searchsorted(reach, b, side="left")))
+    return count
 
 
 def _close_count(queries: np.ndarray, sums: np.ndarray, gamma: float) -> int:
-    """#{(p, q) in queries x sums with p - gamma < q < p + gamma}, counted per
-    p as searchsorted(p + gamma, left) - searchsorted(p - gamma, right) with
-    the rounded bounds corrected by `_past_bound`; both arrays sorted. Each
-    block of queries searches only the slice of sums that its windows reach,
-    which stays in cache."""
+    """#{(p, q) in queries x sums with p - gamma < q < p + gamma}, both arrays
+    sorted, as the ranks of p + gamma less those of p - gamma. Each block of
+    queries ranks only the slice of sums that its windows reach, which stays
+    in cache: the sums below it are at most p - gamma for every p of the
+    block, and those above it at least p + gamma."""
     count = 0
     for block in _blocks(queries.size, 1 << 12):
         chunk = queries[block]
-        below, above = chunk - gamma, chunk + gamma
-        reach = sums[np.searchsorted(sums, below[0], side="left"):
-                     np.searchsorted(sums, above[-1], side="right")]
-        if not reach.size:
-            continue
-        hi = np.searchsorted(reach, above, side="left")
-        lo = np.searchsorted(reach, below, side="right")
-        count += int(np.sum(hi)) - int(np.sum(lo))
-        lo -= 1   # the last sum <= p - gamma, as hi is the first sum >= p + gamma
-        count += _past_bound(reach, hi, chunk, above, gamma)
-        count += _past_bound(reach, lo, chunk, below, -gamma)
+        reach = sums[np.searchsorted(sums, chunk[0] - gamma, side="left"):
+                     np.searchsorted(sums, chunk[-1] + gamma, side="right")]
+        if reach.size:
+            count += _rank_sum(reach, chunk, gamma) - _rank_sum(reach, chunk, -gamma)
     return count
 
 
 def _close_ahead(sums: np.ndarray, stop: int, gamma: float) -> int:
     """#{(i, j) with i < stop, i < j and sums[j] - sums[i] < gamma} over the
     sorted sums: each close pair counted once, from its first member in
-    sums[:stop]. One searchsorted of fl(p + gamma) per p, over the sums from
-    p's block on, with the upper bound of `_close_count` corrected the same
-    way; a pair is never looked up from both ends."""
+    sums[:stop], by the ranks of p + gamma among the sums from p's block on;
+    a pair is never looked up from both ends."""
     count = 0
     for block in _blocks(stop, 1 << 12):
         chunk = sums[block]
-        above = chunk + gamma
-        reach = sums[block.start:np.searchsorted(sums, above[-1], side="right")]
-        hi = np.searchsorted(reach, above, side="left")
+        reach = sums[block.start:np.searchsorted(sums, chunk[-1] + gamma, side="right")]
         # chunk[j] is reach[j], and p < fl(p + gamma) as gamma is above the
-        # float spacing of the sums, so hi > j: drop reach[:j + 1]
-        count += int(np.sum(hi)) - chunk.size * (chunk.size + 1) // 2
-        count += _past_bound(reach, hi, chunk, above, gamma)
+        # float spacing of the sums, so p's rank passes j: drop reach[:j + 1]
+        count += _rank_sum(reach, chunk, gamma) - chunk.size * (chunk.size + 1) // 2
     return count
 
 
@@ -577,20 +570,23 @@ def additive_energy(seq: RealSequence, gamma: float) -> EnergyResult:
     Sorts x once. The N(N-1)/2 off-diagonal sums x_a + x_b (a < b) stand for
     two ordered pairs each; the diagonal sums 2 x_a come out sorted. With
     C(P, Q) the close pairs counted for each p in P among the sorted Q,
-    E = 4 C(off, off) + 4 C(diag, off) + C(diag, diag). C(off, off) is
-    #off + 2 F, F the close pairs of off-diagonal sums at distinct places in
-    sorted order, each counted once from its lower member (`_close_ahead`).
-    The cross term is counted from the diagonal side: _close_count decides
-    |p - q| < gamma exactly, so C(diag, off) = C(off, diag), at 2N lookups
-    per slab in place of two per off-diagonal sum. The off-diagonal sums are
-    taken in value slabs [L, U) of about _SLAB_SUMS each: a pair counted
-    from p in the slab has its upper member in [L, U + gamma), which is
-    gathered and sorted per slab, so the memory stays bounded while every
-    count is the one over all sums. The diagonal (c,d) = (a,b) makes the
-    count at least N^2.
+    E = 4 C(off, off) + 4 C(diag, off) + C(diag, diag). Within one sorted
+    array, C(S, S) is #S + 2 F_S, F_S the close pairs at distinct places,
+    each counted once from its lower member (`_close_ahead`): so
+    C(diag, diag) = N + 2 F_diag. The cross term is counted from the
+    diagonal side: _close_count decides |p - q| < gamma exactly, so
+    C(diag, off) = C(off, diag), at 2N lookups per slab in place of two per
+    off-diagonal sum. Every rounded bound fl(p +- gamma) goes through one
+    exact rank step (`_rank_sum`). The off-diagonal sums are taken in value
+    slabs [L, U) of about _SLAB_SUMS each: a pair counted from p in the slab
+    has its upper member in [L, U + gamma), which is gathered and sorted per
+    slab, so the memory stays bounded while every count is the one over all
+    sums. The diagonal (c,d) = (a,b) makes the count at least N^2.
     """
     if not gamma > 0:
         raise ValueError("need gamma > 0")
+    if gamma == math.inf:
+        raise ValueError("need a finite gamma")
     n = seq.n
     x = np.sort(seq.values)
     # below the spacing of the largest sums, p +- gamma can round back to p
@@ -599,7 +595,7 @@ def additive_energy(seq: RealSequence, gamma: float) -> EnergyResult:
     if gamma < floor:
         raise ValueError(f"gamma {gamma:g} is below the float spacing {floor:g} of the sums")
     diag = x + x
-    count = _close_count(diag, diag, gamma)
+    count = n + 2 * _close_ahead(diag, n, gamma)
     bounds = _slab_bounds(x, -(-(n * (n - 1) // 2) // _SLAB_SUMS))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         # fl(U + gamma) can round below U + gamma onto a sum that is close to

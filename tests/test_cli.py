@@ -507,6 +507,8 @@ def test_exit_code_validation_errors(tmp_path, capsys):
             (("stat", "--in", str(vdc), "--energy", "--gamma", "nan"), "need gamma > 0"),
             (("check", "--what", "energy", "--in", str(thm), "--gamma", "nan"),
              "need gamma > 0"),
+            (("stat", "--in", str(thm), "--energy", "--gamma", "inf"), "finite gamma"),
+            (("check", "--what", "energy", "--in", str(thm), "--gamma", "inf"), "finite gamma"),
             ((*gcond, "--n", "1"), "fewer than two sizes"),
             ((*gcond, "--n", "100", "--ratio", "inf"), "finite grid ratio > 1"),
             ((*gcond, "--n", "100", "--ratio", "nan"), "finite grid ratio > 1"),
@@ -683,6 +685,7 @@ def test_config_requires_master_seed(tmp_path, capsys):
      "generator theorem1 carries its own widths and takes no scale"),
     ("generator", {"kind": "converse", "c": 0.5, "scale": {"family": "beck", "c": 1.0}},
      "generator converse carries its own widths and takes no scale"),
+    ("alpha_mode", {"fixed": 0}, "fixed dilation must be nonzero"),
 ])
 def test_exp_rejects_bad_plans_before_any_trial(tmp_path, capsys, field, value, needle):
     plan = {"generator": {"kind": "theorem1", "c": 1.0}, "n_schedule": [100],

@@ -11,7 +11,7 @@ from modone import (CorrelationWindow, RealSequence, TorusPoints,
                     additive_energy, discrepancy, discrepancy_profile,
                     frac_reduce, gap_distribution, gen_theorem1, k_level_correlation,
                     pair_correlation, pair_correlation_count)
-from modone.generators import GOLDEN_ALPHA, arithmetic_sequence
+from modone.generators import GOLDEN_ALPHA, ScaleFunction, arithmetic_sequence
 from modone.seqcore import frac_part, scale_by_alpha
 from modone import stats as stats_module
 from modone.stats import (_close_ahead, _close_count, _geometric_grid, _moebius_terms, _rank,
@@ -273,7 +273,7 @@ def test_k_level_matches_brute_force_any_k(case):
 
 
 @given(st.data(), st.integers(min_value=2, max_value=5), st.sampled_from([0.3, 1.0, 2.5]))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_counts_over_blocks_of_five_anchors_match_the_extended_circle(data, k, s):
     # every block edge falls among the anchors, in passes and fallbacks
     # alike; the oracles enumerate over the extended circle, as rounded in
@@ -577,6 +577,23 @@ def test_energy_counts_close_sums_past_a_slab_edge():
             mp.setattr(stats_module, "_SLAB_SUMS", slab)
             count = additive_energy(RealSequence(x), 3.0).count
             assert count == brute_energy_count(x, 3.0) == 597, slab
+
+
+def test_energy_working_set_is_bounded_by_its_slabs(traced_peak):
+    # with slabs of 2**14 sums (128 KB) the energy holds the sorted values,
+    # the diagonal, the sampled slab cuts and one slab's sums at a time; all
+    # N(N-1)/2 sums at N = 2**11 would take 16.8 MB, 12.6 MB more than at 2**10
+    def call(n):
+        gamma = 10.0 * float(ScaleFunction.beck(1.0).eval(n))
+        return additive_energy, gen_theorem1(1.0, n, 5), gamma
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats_module, "_SLAB_SUMS", 1 << 14)
+        traced_peak(*call(2**10))   # numpy's first calls allocate caches of their own
+        small, large = (traced_peak(*call(n)) for n in (2**10, 2**11))
+    assert large < 3e6, f"{large / 1e6:.2f} MB at N = 2**11"
+    grown = (large - small) / 2**10
+    assert grown < 64, f"bytes per point gained from 2**10 to 2**11: {grown:.1f}"
 
 
 @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
