@@ -84,6 +84,21 @@ class TorusPoints:
         return int(self.points.size)
 
 
+def _frac_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[:] = the fractional parts of the one-dimensional x, as frac_part
+    gives them, a block of _BLOCK values at a time; out may be x itself, as
+    each block is read before it is written."""
+    low = np.empty(min(x.size, _BLOCK))
+    wrap = np.empty(low.size, dtype=bool)
+    for b in _blocks(x.size):
+        r, f, w = out[b], low[:b.stop - b.start], wrap[:b.stop - b.start]
+        np.floor(x[b], out=f)
+        np.subtract(x[b], f, out=r)
+        np.greater_equal(r, 1.0, out=w)
+        r[w] = 0.0
+    return out
+
+
 def frac_part(values) -> np.ndarray:
     """Fractional part mapping into [0, 1), mathematical mod (negative inputs wrap up).
 
@@ -92,17 +107,21 @@ def frac_part(values) -> np.ndarray:
     for finite x: one rounding of the same exact value, +0 for integers and -0.
     """
     x = np.asarray(values, dtype=np.float64)
-    r = np.floor(x)
-    np.subtract(x, r, out=r)
-    r[r >= 1.0] = 0.0
+    r = np.empty(x.shape)
+    _frac_into(x.reshape(-1), r.reshape(-1))
     return r
+
+
+def _reduce_into(values: np.ndarray, out: np.ndarray) -> TorusPoints:
+    """The raw values reduced modulo 1 into out and sorted there; out may be
+    the values' own buffer, which then holds the points."""
+    _frac_into(values, out).sort()
+    return TorusPoints(out)
 
 
 def frac_reduce(seq: RealSequence) -> TorusPoints:
     """Reduce a raw sequence modulo 1 and sort; ties are kept as duplicates."""
-    r = frac_part(seq.values)   # a new array, sorted in place
-    r.sort()
-    return TorusPoints(r)
+    return _reduce_into(seq.values, np.empty(seq.n))
 
 
 def scale_by_alpha(seq: RealSequence, alpha: float) -> RealSequence:

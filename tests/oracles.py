@@ -182,6 +182,21 @@ def insertion_profile(fracs):
     return d, star, float(np.max(np.arange(1, n + 1) * d))
 
 
+def sorted_prefix_profile(fracs, grid):
+    """D_m, D*_m and the max of m D_m for the prefixes of the reduced values
+    fracs at the sizes m of grid, each prefix sorted on its own and scored by
+    the sorted-order extremes, as insertion_profile scores it."""
+    i = np.arange(fracs.size + 1, dtype=np.float64)
+    d, star = np.empty(grid.size), np.empty(grid.size)
+    for j, m in enumerate(grid):
+        y = np.sort(fracs[:m])
+        t = i[:m + 1] / m
+        over, under = np.max(t[1:] - y), np.max(y - t[:m])
+        d[j] = max(over, 0.0) + max(under, 0.0)
+        star[j] = max(over, under, 0.0)
+    return d, star, float(np.max(grid * d))
+
+
 def riemann_density_l2(base, scale, cells):
     """Midpoint quadrature of the squared density on a uniform grid, summing
     the box indicators directly from the definition."""

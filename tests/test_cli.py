@@ -374,6 +374,46 @@ def test_stat_all_statistics(tmp_path, capsys):
                      "gap_ks_vs_exponential"]
 
 
+STAT_FLAGS = {"ppc": ["--ppc", "--s", "1"],
+              "klevel": ["--klevel", "--k", "3", "--windows", "0:1,0:1"],
+              "disc": ["--disc"],
+              "profile": ["--profile", "geom"],
+              "energy": ["--energy", "--gamma", "0.5"],
+              "gaps": ["--gaps"]}
+
+
+def test_stat_with_every_flag_gives_each_flag_alone(tmp_path, capsys):
+    # the profile and the energy read the raw values, which the points are
+    # reduced beside, and the gaps, computed last, overwrite the points
+    pts = tmp_path / "pts.pts"
+    write_points(pts, -GOLDEN_ALPHA * gen_theorem1(1.0, 2000, 4).values)
+    alone = []
+    for argv in STAT_FLAGS.values():
+        code, out, _ = run(capsys, "stat", "--in", str(pts), *argv, "--no-timing")
+        assert code == 0
+        alone += out.splitlines()
+    code, out, _ = run(capsys, "stat", "--in", str(pts), *sum(STAT_FLAGS.values(), []),
+                       "--no-timing")
+    assert code == 0
+    assert out.splitlines() == alone
+    assert len(alone) == 7
+
+
+def test_stat_works_in_the_array_it_reads(tmp_path, traced_peak):
+    # above the 8 bytes per point that read_points returns: at most 2 bytes
+    # per point, and the 7.9 MB of blocks that the k = 3 count holds at any N.
+    # The points reduced into a second array, and the gaps built beside the
+    # points, held 9 bytes per point
+    n = 2**21
+    pts = tmp_path / "dilated.pts"
+    write_points(pts, GOLDEN_ALPHA * gen_theorem1(1.0, n, 5).values)
+    peak = traced_peak(run_cli, ["stat", "--in", str(pts), "--ppc", "--klevel", "--k", "3",
+                                 "--windows", "0:1,0:1", "--disc", "--gaps", "--no-timing",
+                                 "--out", str(tmp_path / "stat.jsonl")])
+    above = peak - 8 * n
+    assert above <= 2 * n + 8e6, f"{above / n:.2f} bytes per point above the read array"
+
+
 def test_exp_single_trial_matches_stat(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     run(capsys, "gen", "--kind", "arithmetic", "--alpha", repr(GOLDEN_ALPHA),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from modone import RealSequence, TorusPoints, frac_part, frac_reduce, scale_by_alpha
+from modone.seqcore import _BLOCK, _reduce_into
 from oracles import circle_distance, frac_part_mod
 
 finite_reals = st.floats(allow_nan=False, allow_infinity=False,
@@ -61,6 +62,41 @@ def test_frac_part_bitwise_equals_mod(rng):
     assert np.all((r >= 0.0) & (r < 1.0)) and not np.signbit(r).any()
 
 
+
+
+# negatives, integers, tiny negatives whose fractional part rounds to 1.0,
+# and magnitudes up to 2**52, where the last fractional bit is 1/2
+REDUCED_VALUES = st.one_of(
+    st.floats(min_value=-2.0**52, max_value=2.0**52, allow_nan=False),
+    st.integers(min_value=-2**52, max_value=2**52).map(float),
+    st.floats(min_value=-2.0**-53, max_value=0.0, exclude_max=True),
+    st.sampled_from([0.0, -0.0, -5e-324, 2.0**52 - 0.5, -2.0**52 + 0.5, -0.5, 1 - 2.0**-53]))
+
+
+def _reduced_in_place(values: np.ndarray, own: bool) -> np.ndarray:
+    buf = values.copy()
+    pts = _reduce_into(buf, buf if own else np.empty(buf.size))
+    assert np.shares_memory(pts.points, buf) == own
+    return pts.points
+
+
+@given(st.lists(REDUCED_VALUES, min_size=1, max_size=200), st.booleans())
+def test_reduce_in_the_buffer_is_frac_reduce_bitwise(values, own):
+    x = np.array(values)
+    expected = np.sort(frac_part_mod(x))
+    assert_array_equal(frac_reduce(RealSequence(x)).points.view(np.uint64),
+                       expected.view(np.uint64))
+    assert_array_equal(_reduced_in_place(x, own).view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_reduce_in_the_buffer_across_block_edges(rng, n):
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 16, n)
+    x[::7] = np.round(x[::7])
+    x[3::11] = -(2.0 ** -rng.integers(54, 1000, x[3::11].size))   # rounds to 1.0
+    expected = np.sort(frac_part_mod(x)).view(np.uint64)
+    for own in (True, False):
+        assert_array_equal(_reduced_in_place(x, own).view(np.uint64), expected)
 
 
 def test_scale_by_alpha():

@@ -10,17 +10,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 from modone import (CorrelationWindow, RealSequence, TorusPoints,
                     additive_energy, discrepancy, discrepancy_profile,
                     frac_reduce, gap_distribution, gen_theorem1, k_level_correlation,
-                    pair_correlation, pair_correlation_count)
-from modone.generators import GOLDEN_ALPHA, ScaleFunction, arithmetic_sequence
-from modone.seqcore import frac_part, scale_by_alpha
+                    pair_correlation, pair_correlation_count, reduce_scaled)
+from modone.generators import GOLDEN_ALPHA, ScaleFunction, arithmetic_sequence, van_der_corput
+from modone.seqcore import _BLOCK, frac_part, scale_by_alpha
 from modone import stats as stats_module
-from modone.stats import (_close_ahead, _close_count, _geometric_grid, _moebius_terms, _rank,
-                          _slab_bounds, _sums_in)
+from modone.stats import (_close_ahead, _close_count, _gaps_into, _geometric_grid,
+                          _moebius_terms, _rank, _slab_bounds, _sums_in)
 
 from oracles import (brute_discrepancy, brute_energy_count, brute_k_level_count,
                      brute_pair_count, brute_star_discrepancy, extended_k_level_count,
                      extended_pair_count, geometric_grid_loop, insertion_profile,
-                     partition_moebius_terms, window_membership)
+                     partition_moebius_terms, sorted_prefix_profile, window_membership)
 
 
 def sorted_uniform(rng, n):
@@ -457,6 +457,29 @@ def test_full_profile_equals_the_insertion_oracle_on_ties(values):
     assert_profile_is_the_insertion_oracle(np.array(values))
 
 
+def assert_geometric_profile_is_the_per_prefix_sort(values, ratio):
+    prof = discrepancy_profile(RealSequence(values), grid="geometric", ratio=ratio)
+    grid = geometric_grid_loop(values.size, ratio)
+    d, star, m_value = sorted_prefix_profile(frac_part(values), grid)
+    assert_array_equal(prof.n_grid, grid)
+    assert prof.d_values.tobytes() == d.tobytes()
+    assert prof.star_values.tobytes() == star.tobytes()
+    assert prof.m_value.hex() == m_value.hex()
+
+
+@given(st.lists(st.one_of(st.sampled_from(TIED_VALUES), st.floats(-4.0, 4.0, allow_nan=False)),
+                min_size=1, max_size=300),
+       st.sampled_from([1.001, 1.06, 1.3, 2.0, 1e300]))
+@settings(max_examples=100, deadline=None)
+def test_geometric_profile_equals_the_per_prefix_sort(values, ratio):
+    assert_geometric_profile_is_the_per_prefix_sort(np.array(values), ratio)
+
+
+@pytest.mark.parametrize("ratio", [1.01, 1.06, 1.25])
+def test_geometric_profile_of_van_der_corput_equals_the_per_prefix_sort(ratio):
+    assert_geometric_profile_is_the_per_prefix_sort(van_der_corput(2, 20_000).values, ratio)
+
+
 @pytest.mark.parametrize("ratio", [1.001, 1.06, 1.25, 2.0, 10.0, 1e300, "1 + 2/N"])
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000, 12_345, 100_000])
 def test_geometric_grid_equals_its_loop(n, ratio):
@@ -596,6 +619,44 @@ def test_energy_working_set_is_bounded_by_its_slabs(traced_peak):
     assert grown < 64, f"bytes per point gained from 2**10 to 2**11: {grown:.1f}"
 
 
+@given(st.lists(st.one_of(st.integers(min_value=-400, max_value=400).map(lambda k: k / 8),
+                          st.floats(min_value=-50.0, max_value=50.0)), min_size=1, max_size=12),
+       st.sampled_from(["above", "at", "below"]))
+@settings(max_examples=80, deadline=None)
+def test_energy_past_the_spread_of_the_sums_counts_every_quadruple(values, place):
+    # gamma on either side of the float nearest the spread 2 x_max - 2 x_min,
+    # which is rounded unless it is exact; only a gamma past the exact spread
+    # counts all N^4 quadruples
+    x = np.array(values)
+    spread = 2.0 * x.max() - 2.0 * x.min()
+    near = spread if spread > 0 else 1.0
+    gamma = float({"above": np.nextafter(near, np.inf), "at": near,
+                   "below": np.nextafter(near, 0.0)}[place])
+    if gamma < np.spacing(2.0 * np.max(np.abs(x))):
+        return
+    past = Fraction(gamma) > 2 * Fraction(float(x.max())) - 2 * Fraction(float(x.min()))
+
+    def no_lookup(*args):
+        raise AssertionError("a close pair looked up past the spread")
+
+    with pytest.MonkeyPatch.context() as mp:
+        if past:
+            mp.setattr(stats_module, "_close_ahead", no_lookup)
+        count = additive_energy(RealSequence(x), gamma).count
+    assert count == brute_energy_count(x, gamma)
+    assert (count == x.size**4) == past
+
+
+def test_energy_past_the_spread_holds_no_sums(traced_peak):
+    # at N = 2048 a gamma past the spread of the sums made every slab gather
+    # every sum above its lower cut: 70.6 MB of RSS against 42.1 MB at 0.05
+    seq = gen_theorem1(1.0, 2048, 5)
+    traced_peak(additive_energy, seq, 0.05)   # numpy's first calls allocate caches of their own
+    near, far = (traced_peak(additive_energy, seq, gamma) for gamma in (0.05, 1e4))
+    assert additive_energy(seq, 1e4).count == 2048**4
+    assert far <= near, f"{far / 1e6:.2f} MB at gamma 1e4, {near / 1e6:.2f} MB at 0.05"
+
+
 @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
        st.sampled_from([0.1, 0.3, 1.0 / 3.0]), st.data())
 @settings(max_examples=100, deadline=None)
@@ -704,6 +765,20 @@ def test_gaps_ecdf_and_ks_against_scipy(rng):
     assert gd.ks_vs_exponential == pytest.approx(ks, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 5])
+def test_gaps_in_the_points_buffer_are_gap_distribution_bitwise(rng, n):
+    y = np.sort(rng.random(n))
+    y[n // 3:n // 3 + 4] = y[n // 3]   # zero gaps
+    expected = np.sort(np.append(np.diff(y), 1.0 - y[-1] + y[0]) * n)
+    fresh = gap_distribution(TorusPoints(y))
+    pts = TorusPoints(y.copy())
+    own = _gaps_into(pts, pts.points)
+    assert own.scaled_gaps is pts.points
+    for gd in (fresh, own):
+        assert gd.scaled_gaps.tobytes() == expected.tobytes()
+    assert own.ks_vs_exponential.hex() == fresh.ks_vs_exponential.hex()
+
+
 def test_gaps_translation_invariance(rng):
     raw = rng.random(300) * 7
     a = gap_distribution(frac_reduce(RealSequence(raw))).scaled_gaps
@@ -724,6 +799,7 @@ def _stage_calls(n: int) -> dict:
     k3_two = CorrelationWindow(k=3, intervals=((0.0, 1.0), (1.0, 2.0)))
     return {"gen_theorem1": (10, gen_theorem1, 1.0, n, 5),
             "frac_reduce": (10, frac_reduce, seq),
+            "reduce_scaled": (10, reduce_scaled, seq, GOLDEN_ALPHA),
             "pair_correlation": (2, pair_correlation, pts, 1.0),
             "k_level_correlation": (4, k_level_correlation, pts, k3),
             "k_level_correlation two intervals": (10, k_level_correlation, pts, k3_two),
