@@ -11,17 +11,13 @@ import ctypes
 import sys
 import time
 
-import numpy as np
-
 from . import io as mio
 from .experiments import (_BASE_PARAMETER, _KIND_PARAMETER, GeneratorConfig,
                           check_g_conditions, energy_certificate, run_trials)
 from .generators import _SCALE_PARAMETER, LIOUVILLE_ALPHA, ScaleFunction
-# frac_reduce and gap_distribution are looked up here by the benchmark's timing hooks
-from .seqcore import RealSequence, _reduce_into, frac_reduce  # noqa: F401
-from .stats import (CorrelationWindow, _gaps_into, additive_energy, discrepancy,  # noqa: F401
-                    discrepancy_profile, gap_distribution, k_level_correlation,
-                    pair_correlation)
+from .seqcore import RealSequence, frac_reduce
+from .stats import (CorrelationWindow, additive_energy, discrepancy, discrepancy_profile,
+                    gap_distribution, k_level_correlation, pair_correlation)
 
 
 class _CliError(Exception):
@@ -168,7 +164,7 @@ def _cmd_stat(args) -> list:
     # only the profile and the energy read the raw values; without them the
     # read buffer itself is reduced and sorted, and last holds the gaps
     raw = args.profile or args.energy
-    pts = _reduce_into(seq.values, np.empty(seq.n) if raw else seq.values)
+    pts = frac_reduce(seq, out=None if raw else seq.values)
     records = []
 
     def record(statistic, value, wall_time_ms, window=None):
@@ -196,7 +192,7 @@ def _cmd_stat(args) -> list:
         res, ms = _timed(additive_energy, seq, args.gamma)
         record("additive_energy", res.count, ms, window=f"gamma={args.gamma:g}")
     if args.gaps:   # last: the gaps overwrite the points
-        gd, ms = _timed(_gaps_into, pts, pts.points)
+        gd, ms = _timed(gap_distribution, pts, out=pts.points)
         record("gap_ks_vs_exponential", gd.ks_vs_exponential, ms)
     return records
 

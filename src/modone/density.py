@@ -99,9 +99,9 @@ def _level_table(base: RealSequence, widths: np.ndarray, per_point: int):
     sorted order."""
     n = base.n
     pos = np.empty(2 * n)
-    centres = frac_part(base.values)
-    pos[:n] = frac_part(centres - widths)
-    pos[n:] = frac_part(np.add(centres, widths, out=centres))
+    centres = frac_part(base.values, out=pos[n:])
+    frac_part(np.subtract(centres, widths, out=pos[:n]), out=pos[:n])
+    frac_part(np.add(centres, widths, out=centres), out=centres)
     np.divide(1.0, 2.0 * widths * per_point, out=widths)
     wrapped = widths[pos[n:] < pos[:n]]
     first, cover = float(np.sum(wrapped)), wrapped.size

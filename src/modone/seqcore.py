@@ -32,9 +32,18 @@ def _as_float_array(values) -> np.ndarray:
         raise ValueError("sequence values must be one-dimensional")
     if arr.size < 1:
         raise ValueError("sequence must contain at least one value")
-    if not np.isfinite(arr).all():
-        raise ValueError("sequence values must be finite")
     return arr
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    """Refuses a NaN or an infinity, looking at a block of values at a time."""
+    if not all(np.isfinite(arr[b]).all() for b in _blocks(arr.size)):
+        raise ValueError("sequence values must be finite")
+
+
+def _ascending(arr: np.ndarray) -> bool:
+    """arr[i + 1] >= arr[i] for every i, a block at a time; False at a NaN."""
+    return all(np.all(arr[b.start + 1:b.stop + 1] >= arr[b]) for b in _blocks(arr.size - 1))
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,9 @@ class RealSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_array(self.values))
+        arr = _as_float_array(self.values)
+        _check_finite(arr)
+        object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
@@ -73,9 +84,12 @@ class TorusPoints:
 
     def __post_init__(self):
         arr = _as_float_array(self.points)
-        if np.any(arr[1:] < arr[:-1]):
-            raise ValueError("torus points must be sorted ascending")
-        if arr[0] < 0.0 or arr[-1] >= 1.0:
+        # sorted values inside [0, 1) are finite, and a NaN fails a comparison,
+        # so finiteness is looked at only to name the refusal
+        if not (arr[0] >= 0.0 and arr[-1] < 1.0 and _ascending(arr)):
+            _check_finite(arr)
+            if not _ascending(arr):
+                raise ValueError("torus points must be sorted ascending")
             raise ValueError("torus points must lie in [0, 1)")
         object.__setattr__(self, "points", arr)
 
@@ -84,44 +98,36 @@ class TorusPoints:
         return int(self.points.size)
 
 
-def _frac_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[:] = the fractional parts of the one-dimensional x, as frac_part
-    gives them, a block of _BLOCK values at a time; out may be x itself, as
-    each block is read before it is written."""
-    low = np.empty(min(x.size, _BLOCK))
-    wrap = np.empty(low.size, dtype=bool)
-    for b in _blocks(x.size):
-        r, f, w = out[b], low[:b.stop - b.start], wrap[:b.stop - b.start]
-        np.floor(x[b], out=f)
-        np.subtract(x[b], f, out=r)
-        np.greater_equal(r, 1.0, out=w)
-        r[w] = 0.0
-    return out
-
-
-def frac_part(values) -> np.ndarray:
+def frac_part(values, out=None) -> np.ndarray:
     """Fractional part mapping into [0, 1), mathematical mod (negative inputs wrap up).
 
     Values whose fractional part rounds to 1.0 in binary64 are mapped to 0.0 so
     the half-open invariant holds exactly. x - floor(x) is bitwise np.mod(x, 1.0)
     for finite x: one rounding of the same exact value, +0 for integers and -0.
+    The result is written to out if given, a contiguous array of the values'
+    shape, a block of _BLOCK values at a time; out may be the values' own
+    array, as each block is read before it is written.
     """
     x = np.asarray(values, dtype=np.float64)
-    r = np.empty(x.shape)
-    _frac_into(x.reshape(-1), r.reshape(-1))
+    r = np.empty(x.shape) if out is None else out
+    x, flat = x.reshape(-1), r.reshape(-1)
+    low = np.empty(min(x.size, _BLOCK))
+    wrap = np.empty(low.size, dtype=bool)
+    for b in _blocks(x.size):
+        y, f, w = flat[b], low[:b.stop - b.start], wrap[:b.stop - b.start]
+        np.floor(x[b], out=f)
+        np.subtract(x[b], f, out=y)
+        np.greater_equal(y, 1.0, out=w)
+        y[w] = 0.0
     return r
 
 
-def _reduce_into(values: np.ndarray, out: np.ndarray) -> TorusPoints:
-    """The raw values reduced modulo 1 into out and sorted there; out may be
-    the values' own buffer, which then holds the points."""
-    _frac_into(values, out).sort()
-    return TorusPoints(out)
-
-
-def frac_reduce(seq: RealSequence) -> TorusPoints:
-    """Reduce a raw sequence modulo 1 and sort; ties are kept as duplicates."""
-    return _reduce_into(seq.values, np.empty(seq.n))
+def frac_reduce(seq: RealSequence, out=None) -> TorusPoints:
+    """Reduce a raw sequence modulo 1 and sort; ties are kept as duplicates.
+    The points are written to out if given, which may be seq.values itself."""
+    r = frac_part(seq.values, out)
+    r.sort()
+    return TorusPoints(r)
 
 
 def scale_by_alpha(seq: RealSequence, alpha: float) -> RealSequence:

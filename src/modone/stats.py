@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# frac_reduce is looked up here by the benchmark's timing hooks
-from .seqcore import (_BLOCK, RealSequence, TorusPoints, _blocks, _is_int, _is_real,  # noqa: F401
-                      _reduce_into, frac_part, frac_reduce, scale_by_alpha)
+from .seqcore import (_BLOCK, RealSequence, TorusPoints, _blocks, _is_int, _is_real,
+                      frac_part, frac_reduce, scale_by_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +391,14 @@ def _prefix_blocks(n: int):
         m0 = w
 
 
-def _prefix_extremes(fracs: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _prefix_extremes(fracs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_extremes of every prefix of fracs, sorted, one block of prefixes at a
     time: each row is the row before with one value inserted by slice copies.
     The rows and the scorer's scratch are allocated once, for the largest
     block; blocks alternate between two row buffers, as a block's first row is
     read from the last row of the block before."""
     n = fracs.size
+    i = np.arange(n + 1, dtype=np.float64)
     over, under = np.empty(n), np.empty(n)
     cells = max((w - m0) * w for m0, w in _prefix_blocks(n))
     buffers, scratch = (np.empty(cells), np.empty(cells)), np.empty(2 * cells + 1)
@@ -429,25 +429,22 @@ def discrepancy_profile(seq: RealSequence, grid: str = "full",
     envelope (exact=False); the reduced values are sorted in place a step at
     a time, each step's new values on their own and then merged into the
     sorted prefix before them by the stable sort, a timsort that finds the
-    two runs and merges them in O(m).
+    two runs and merges them in O(m), and discrepancy scores each prefix.
     """
     n = seq.n
     fracs = frac_part(seq.values)
-    i = np.arange(n + 1, dtype=np.float64)
     if grid == "full":
         n_grid = np.arange(1, n + 1, dtype=np.int64)
-        over, under = _prefix_extremes(fracs, i)
+        d_vals, s_vals = _from_extremes(*_prefix_extremes(fracs))
     elif grid == "geometric":
         n_grid = _geometric_grid(n, ratio)
-        over, under = np.empty(n_grid.size), np.empty(n_grid.size)
-        scratch = np.empty(2 * n + 1)
+        d_vals, s_vals = np.empty(n_grid.size), np.empty(n_grid.size)
         for j, m in enumerate(n_grid):
             fracs[n_grid[j - 1] if j else 0:m].sort()
             fracs[:m].sort(kind="stable")
-            over[j:j + 1], under[j:j + 1] = _extremes(fracs[None, :m], i, i[m:m + 1], scratch)
+            d_vals[j], s_vals[j] = discrepancy(TorusPoints(fracs[:m]))
     else:
         raise ValueError("grid must be 'full' or 'geometric'")
-    d_vals, s_vals = _from_extremes(over, under)
     m_value = float(np.max(n_grid * d_vals))
     return DiscrepancyProfile(n_grid=n_grid, d_values=d_vals, star_values=s_vals,
                               m_value=m_value, exact=(grid == "full"))
@@ -635,15 +632,16 @@ class GapDistribution:
         return int(self.scaled_gaps.size)
 
 
-def _gaps_into(pts: TorusPoints, out: np.ndarray) -> GapDistribution:
-    """gap_distribution of pts with the scaled gaps written to out and sorted
-    there. out may be pts.points itself, which then no longer holds the
-    points: each block of differences goes through a block buffer, so no
-    numpy call reads an operand that overlaps its output, and the wrap-around
-    gap is taken before the first point is overwritten."""
+def gap_distribution(pts: TorusPoints, out=None) -> GapDistribution:
+    """All N circular gaps (including the wrap-around one), scaled by N and
+    sorted, written to out if given. out may be pts.points itself, which then
+    no longer holds the points: each block of differences goes through a
+    block buffer, so no numpy call reads an operand that overlaps its output,
+    and the wrap-around gap is taken before the first point is overwritten."""
     n = pts.n
     if n < 2:
         raise ValueError("need at least 2 points for gaps")
+    out = np.empty(n) if out is None else out
     y = pts.points
     wrap = (1.0 - y[-1] + y[0]) * n
     diff = np.empty(min(n - 1, _BLOCK))
@@ -665,15 +663,10 @@ def _gaps_into(pts: TorusPoints, out: np.ndarray) -> GapDistribution:
     return GapDistribution(scaled_gaps=out, ks_vs_exponential=ks)
 
 
-def gap_distribution(pts: TorusPoints) -> GapDistribution:
-    """All N circular gaps (including the wrap-around one), scaled by N."""
-    return _gaps_into(pts, np.empty(pts.n))
-
-
 # ---------------------------------------------------------------------------
 
 
 def reduce_scaled(seq: RealSequence, alpha: float = 1.0) -> TorusPoints:
     """Convenience: dilate by alpha and reduce modulo 1, in the dilated copy."""
-    x = scale_by_alpha(seq, alpha).values
-    return _reduce_into(x, x)
+    dilated = scale_by_alpha(seq, alpha)
+    return frac_reduce(dilated, out=dilated.values)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from modone import RealSequence, TorusPoints, frac_part, frac_reduce, scale_by_alpha
-from modone.seqcore import _BLOCK, _reduce_into
+from modone.seqcore import _BLOCK
 from oracles import circle_distance, frac_part_mod
 
 finite_reals = st.floats(allow_nan=False, allow_infinity=False,
@@ -75,7 +75,7 @@ REDUCED_VALUES = st.one_of(
 
 def _reduced_in_place(values: np.ndarray, own: bool) -> np.ndarray:
     buf = values.copy()
-    pts = _reduce_into(buf, buf if own else np.empty(buf.size))
+    pts = frac_reduce(RealSequence(buf), out=buf if own else np.empty(buf.size))
     assert np.shares_memory(pts.points, buf) == own
     return pts.points
 
@@ -138,6 +138,23 @@ def test_non_finite_values_rejected(bad):
         RealSequence([0.1, bad, 0.3])
     with pytest.raises(ValueError, match="finite"):
         TorusPoints([0.1, 0.3, bad])
+
+
+@pytest.mark.parametrize("at", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 2])
+def test_blocked_checks_name_each_bad_value(at):
+    # the checks run a block at a time, so a bad value at a block edge must
+    # still be found, and named as the whole-array checks named it
+    y = np.linspace(0.25, 0.75, 2 * _BLOCK + 3)
+    TorusPoints(y)
+    for bad, message in ((np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+                         (y[at - 1] - 1e-7, "sorted ascending")):
+        z = y.copy()
+        z[at] = bad
+        with pytest.raises(ValueError, match=message):
+            TorusPoints(z)
+        if message == "finite":
+            with pytest.raises(ValueError, match=message):
+                RealSequence(z)
 
 
 def test_sequence_prefix():

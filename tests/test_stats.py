@@ -14,7 +14,7 @@ from modone import (CorrelationWindow, RealSequence, TorusPoints,
 from modone.generators import GOLDEN_ALPHA, ScaleFunction, arithmetic_sequence, van_der_corput
 from modone.seqcore import _BLOCK, frac_part, scale_by_alpha
 from modone import stats as stats_module
-from modone.stats import (_close_ahead, _close_count, _gaps_into, _geometric_grid,
+from modone.stats import (_close_ahead, _close_count, _geometric_grid,
                           _moebius_terms, _rank, _slab_bounds, _sums_in)
 
 from oracles import (brute_discrepancy, brute_energy_count, brute_k_level_count,
@@ -772,7 +772,7 @@ def test_gaps_in_the_points_buffer_are_gap_distribution_bitwise(rng, n):
     expected = np.sort(np.append(np.diff(y), 1.0 - y[-1] + y[0]) * n)
     fresh = gap_distribution(TorusPoints(y))
     pts = TorusPoints(y.copy())
-    own = _gaps_into(pts, pts.points)
+    own = gap_distribution(pts, out=pts.points)
     assert own.scaled_gaps is pts.points
     for gd in (fresh, own):
         assert gd.scaled_gaps.tobytes() == expected.tobytes()
