@@ -104,12 +104,14 @@ def frac_part(values, out=None) -> np.ndarray:
     Values whose fractional part rounds to 1.0 in binary64 are mapped to 0.0 so
     the half-open invariant holds exactly. x - floor(x) is bitwise np.mod(x, 1.0)
     for finite x: one rounding of the same exact value, +0 for integers and -0.
-    The result is written to out if given, a contiguous array of the values'
-    shape, a block of _BLOCK values at a time; out may be the values' own
-    array, as each block is read before it is written.
+    The result is written to out if given, a contiguous float64 array of the
+    values' shape, a block of _BLOCK values at a time; out may be the values'
+    own array, as each block is read before it is written.
     """
     x = np.asarray(values, dtype=np.float64)
     r = np.empty(x.shape) if out is None else out
+    if r.shape != x.shape or r.dtype != np.float64 or not r.flags.c_contiguous:
+        raise ValueError("out must be a contiguous float64 array of the values' shape")
     x, flat = x.reshape(-1), r.reshape(-1)
     low = np.empty(min(x.size, _BLOCK))
     wrap = np.empty(low.size, dtype=bool)

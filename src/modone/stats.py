@@ -642,6 +642,8 @@ def gap_distribution(pts: TorusPoints, out=None) -> GapDistribution:
     if n < 2:
         raise ValueError("need at least 2 points for gaps")
     out = np.empty(n) if out is None else out
+    if out.shape != (n,) or out.dtype != np.float64:
+        raise ValueError("out must be a float64 array of one value per point")
     y = pts.points
     wrap = (1.0 - y[-1] + y[0]) * n
     diff = np.empty(min(n - 1, _BLOCK))

@@ -62,6 +62,12 @@ def test_frac_part_bitwise_equals_mod(rng):
     assert np.all((r >= 0.0) & (r < 1.0)) and not np.signbit(r).any()
 
 
+@pytest.mark.parametrize("out", [np.empty(6), np.empty((2, 3), dtype=np.float32),
+                                 np.empty((3, 2)).T])
+def test_frac_part_refuses_an_out_it_cannot_fill(out):
+    # a transposed out would be flattened into a copy, and the result lost
+    with pytest.raises(ValueError, match="out must be"):
+        frac_part(np.arange(6).reshape(2, 3) + 0.5, out=out)
 
 
 # negatives, integers, tiny negatives whose fractional part rounds to 1.0,

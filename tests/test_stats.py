@@ -779,6 +779,13 @@ def test_gaps_in_the_points_buffer_are_gap_distribution_bitwise(rng, n):
     assert own.ks_vs_exponential.hex() == fresh.ks_vs_exponential.hex()
 
 
+@pytest.mark.parametrize("out", [np.empty(9), np.empty(11), np.empty(10, dtype=np.float32)])
+def test_gaps_refuse_an_out_of_another_size_or_type(out):
+    # a longer out would sort leftover values in with the gaps
+    with pytest.raises(ValueError, match="out must be"):
+        gap_distribution(TorusPoints(np.linspace(0.0, 0.9, 10)), out=out)
+
+
 def test_gaps_translation_invariance(rng):
     raw = rng.random(300) * 7
     a = gap_distribution(frac_reduce(RealSequence(raw))).scaled_gaps
