@@ -114,13 +114,11 @@ def frac_part(values, out=None) -> np.ndarray:
         raise ValueError("out must be a contiguous float64 array of the values' shape")
     x, flat = x.reshape(-1), r.reshape(-1)
     low = np.empty(min(x.size, _BLOCK))
-    wrap = np.empty(low.size, dtype=bool)
     for b in _blocks(x.size):
-        y, f, w = flat[b], low[:b.stop - b.start], wrap[:b.stop - b.start]
+        y, f = flat[b], low[:b.stop - b.start]
         np.floor(x[b], out=f)
         np.subtract(x[b], f, out=y)
-        np.greater_equal(y, 1.0, out=w)
-        y[w] = 0.0
+        y[y >= 1.0] = 0.0
     return r
 
 

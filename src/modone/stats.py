@@ -391,14 +391,13 @@ def _prefix_blocks(n: int):
         m0 = w
 
 
-def _prefix_extremes(fracs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _prefix_extremes(fracs: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_extremes of every prefix of fracs, sorted, one block of prefixes at a
     time: each row is the row before with one value inserted by slice copies.
     The rows and the scorer's scratch are allocated once, for the largest
     block; blocks alternate between two row buffers, as a block's first row is
     read from the last row of the block before."""
     n = fracs.size
-    i = np.arange(n + 1, dtype=np.float64)
     over, under = np.empty(n), np.empty(n)
     cells = max((w - m0) * w for m0, w in _prefix_blocks(n))
     buffers, scratch = (np.empty(cells), np.empty(cells)), np.empty(2 * cells + 1)
@@ -429,22 +428,25 @@ def discrepancy_profile(seq: RealSequence, grid: str = "full",
     envelope (exact=False); the reduced values are sorted in place a step at
     a time, each step's new values on their own and then merged into the
     sorted prefix before them by the stable sort, a timsort that finds the
-    two runs and merges them in O(m), and discrepancy scores each prefix.
+    two runs and merges them in O(m).
     """
     n = seq.n
     fracs = frac_part(seq.values)
+    i = np.arange(n + 1, dtype=np.float64)
     if grid == "full":
         n_grid = np.arange(1, n + 1, dtype=np.int64)
-        d_vals, s_vals = _from_extremes(*_prefix_extremes(fracs))
+        over, under = _prefix_extremes(fracs, i)
     elif grid == "geometric":
         n_grid = _geometric_grid(n, ratio)
-        d_vals, s_vals = np.empty(n_grid.size), np.empty(n_grid.size)
+        over, under = np.empty(n_grid.size), np.empty(n_grid.size)
+        scratch = np.empty(2 * n + 1)
         for j, m in enumerate(n_grid):
             fracs[n_grid[j - 1] if j else 0:m].sort()
             fracs[:m].sort(kind="stable")
-            d_vals[j], s_vals[j] = discrepancy(TorusPoints(fracs[:m]))
+            over[j:j + 1], under[j:j + 1] = _extremes(fracs[None, :m], i, i[m:m + 1], scratch)
     else:
         raise ValueError("grid must be 'full' or 'geometric'")
+    d_vals, s_vals = _from_extremes(over, under)
     m_value = float(np.max(n_grid * d_vals))
     return DiscrepancyProfile(n_grid=n_grid, d_values=d_vals, star_values=s_vals,
                               m_value=m_value, exact=(grid == "full"))
