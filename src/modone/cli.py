@@ -24,23 +24,30 @@ class _CliError(Exception):
     pass
 
 
+def _mallopt(*settings) -> None:
+    """Set glibc malloc parameters, each a (param, value) pair. A no-op where
+    the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in settings:
+        mallopt(param, value)
+
+
 def _keep_freed_memory() -> None:
     """Start glibc's heap at the thresholds its dynamic rule would learn.
 
     glibc raises the thresholds only to the largest block freed so far, so a
     trial plan's N-sized arrays would be trimmed from each arena after every
     call and faulted back in by the next. Setting either threshold turns the rule
-    off and leaves the other at its low default, so both are set. A no-op
-    where the C library has no mallopt.
+    off and leaves the other at its low default, so both are set.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
     # the ceilings of the dynamic rule on 64-bit: DEFAULT_MMAP_THRESHOLD_MAX,
     # and twice that for trimming
-    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+    _mallopt((-3, 32 << 20),   # M_MMAP_THRESHOLD
+             (-1, 64 << 20))   # M_TRIM_THRESHOLD
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +63,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--kind", required=True, choices=list(_KIND_PARAMETER))
     g.add_argument("--alpha", type=float, help="step for --kind arithmetic")
     g.add_argument("--theta", type=float, help="exponent for --kind power")
-    g.add_argument("--base", type=int, default=2, help="radix for --kind van_der_corput")
+    g.add_argument("--base", type=int, help="radix for --kind van_der_corput (default 2)")
     g.add_argument("--c", type=float, help="width parameter for theorem1/converse")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int,
@@ -95,9 +102,9 @@ def _build_parser() -> _Parser:
     c.add_argument("--c", type=float, help="parameter of --scale beck and power_log")
     c.add_argument("--g0", type=float, help="width of --scale constant")
     c.add_argument("--kind", choices=list(_BASE_PARAMETER), default="arithmetic")
-    c.add_argument("--alpha", type=float, default=LIOUVILLE_ALPHA)
+    c.add_argument("--alpha", type=float, help="default LIOUVILLE_ALPHA")
     c.add_argument("--theta", type=float)
-    c.add_argument("--base", type=int, default=2)
+    c.add_argument("--base", type=int, help="default 2")
     c.add_argument("--n", type=int)
     c.add_argument("--ratio", type=float, default=1.25, help="geometric grid ratio")
     c.add_argument("--in", dest="infile", help="points file for --what energy")
@@ -127,9 +134,27 @@ def _timed(fn, *args, **kwargs):
     return value, (time.perf_counter() - t0) * 1e3
 
 
-def _generator(args) -> GeneratorConfig:
-    param = _KIND_PARAMETER[args.kind]
-    return GeneratorConfig(kind=args.kind, **{param: getattr(args, param)})
+def _generator(args, flags, **defaults) -> GeneratorConfig:
+    """--kind given every parameter flag of `flags` that was set, so that a
+    parameter the kind does not take is refused as in a plan file. The kind's
+    own parameter, if not set, is its entry in `defaults`."""
+    given = {f: getattr(args, f) for f in flags}
+    own = _KIND_PARAMETER[args.kind]
+    if given[own] is None:
+        given[own] = defaults.get(own)
+    return GeneratorConfig(kind=args.kind, **given)
+
+
+def _gen_generator(args) -> GeneratorConfig:
+    return _generator(args, _KIND_PARAMETER.values(), base=2)
+
+
+def _gcond_inputs(args) -> tuple[GeneratorConfig, ScaleFunction]:
+    """The base and the width family of `check --what gcond`. --c and --g0 go
+    to the family as the keys of a plan file's scale."""
+    given = {f: getattr(args, f) for f in ("c", "g0") if getattr(args, f) is not None}
+    scale = mio._scale_from_dict({"family": args.scale, **given})
+    return _generator(args, _BASE_PARAMETER.values(), base=2, alpha=LIOUVILLE_ALPHA), scale
 
 
 def _cmd_gen(args) -> list:
@@ -137,7 +162,7 @@ def _cmd_gen(args) -> list:
         raise _CliError(f"--kind {args.kind} requires --seed")
     if args.kind in _BASE_PARAMETER and args.seed is not None:
         raise _CliError(f"--kind {args.kind} is not random and takes no --seed")
-    seq = _generator(args).build(args.n, args.seed or 0)
+    seq = _gen_generator(args).build(args.n, args.seed or 0)
     mio.write_points(args.points, seq.values)
     return []
 
@@ -200,6 +225,11 @@ def _cmd_stat(args) -> list:
 def _cmd_exp(args) -> list:
     with open(args.config, "r", encoding="ascii") as f:
         plan = mio.plan_from_json(f.read())
+    # an exiting worker hands its arena back only at C-level thread exit,
+    # after the join, so a worker of the next plan in this process could
+    # start a fresh arena and fault its working set into it; the cap of one
+    # arena per worker and the main one makes it reuse a warm one
+    _mallopt((-8, args.threads + 1))   # M_ARENA_MAX
     summary, elapsed = _timed(run_trials, plan, threads=args.threads)
     records = []
     for i, n in enumerate(plan.n_schedule):
@@ -217,8 +247,7 @@ def _cmd_check(args) -> list:
     if args.what == "gcond":
         if args.scale is None or args.n is None:
             raise _CliError("check gcond requires --scale and --n")
-        scale = getattr(ScaleFunction, args.scale)(getattr(args, _SCALE_PARAMETER[args.scale]))
-        config = _generator(args)
+        config, scale = _gcond_inputs(args)
 
         def report():
             seq = config.build(args.n, 0)

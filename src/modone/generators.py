@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -228,43 +227,34 @@ class Convergent:
     error: float
 
 
-_CF_TOL = 1e-12
+def _convergent_pairs(quotients):
+    """(p_k, q_k) of [a_0; a_1, ..., a_k] for each k in turn, by the recurrence
+    p_k = a_k p_{k-1} + p_{k-2} (the same for q) from p/q = 0/1, 1/0."""
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    for a in quotients:
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        yield p, q
+
+
+def _quotients(num: int, den: int):
+    """The partial quotients of num/den, by Euclid's algorithm."""
+    while den:
+        yield num // den
+        num, den = den, num % den
 
 
 def convergents(alpha: float, q_max: int) -> list[Convergent]:
     """Continued-fraction convergents p/q of alpha with q <= q_max, q increasing.
-
-    Quotients within _CF_TOL of an integer are snapped to it and the expansion
-    stops there (remainder treated as 0); a binary64 input that merely sits a
-    few ulps away from a small rational therefore expands like that rational.
-    """
+    They expand the exact binary64 value in integers, so the last is alpha itself."""
     if q_max < 1:
         raise ValueError("need q_max >= 1")
     alpha = float(alpha)
     out = []
-    p_prev, q_prev, p, q = 0, 1, 1, 0
-    x = alpha
-    while True:
-        ai = math.floor(x)
-        rem = x - ai
-        if rem > 1.0 - _CF_TOL:
-            ai += 1
-            rem = 0.0
-        p_prev, q_prev, p, q = p, q, ai * p + p_prev, ai * q + q_prev
+    for p, q in _convergent_pairs(_quotients(*alpha.as_integer_ratio())):
         if q > q_max:
             break
         out.append(Convergent(p, q, abs(alpha - p / q)))
-        if rem <= _CF_TOL:
-            break
-        x = 1.0 / rem
     return out
-
-
-def _cf_value(quotients) -> float:
-    x = Fraction(quotients[-1])
-    for a in reversed(quotients[:-1]):
-        x = a + 1 / x
-    return float(x)
 
 
 # Default dilation value for the counterexample experiments. Built from an
@@ -277,9 +267,9 @@ def _cf_value(quotients) -> float:
 # small leading value keeps the dilated perturbation widths below the cluster
 # spacing at those sizes, which is what makes the excess visible against the
 # self-pair deficit.
-LIOUVILLE_ALPHA = _cf_value(
-    [0, 11, 9, 1, 2, 1, 1, 3, 1, 2, 1, 1, 29, 40, 2, 1, 1, 3, 1, 2, 1, 1, 4]
-)
+*_, _LIOUVILLE = _convergent_pairs(
+    [0, 11, 9, 1, 2, 1, 1, 3, 1, 2, 1, 1, 29, 40, 2, 1, 1, 3, 1, 2, 1, 1, 4])
+LIOUVILLE_ALPHA = _LIOUVILLE[0] / _LIOUVILLE[1]   # correctly rounded
 
 GOLDEN_ALPHA = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -312,7 +302,7 @@ def converse_schedule(alpha: float, count: int) -> ConverseSchedule:
     if count < 1:
         raise ValueError("need count >= 1")
     qs = [cv.q for cv in convergents(alpha, _SCHEDULE_Q_MAX) if cv.q >= 16]
-    chosen = sorted(qs)[-count:]
+    chosen = qs[-count:]
     return ConverseSchedule(
         n_values=tuple(schedule_size(q) for q in chosen),
         q_values=tuple(chosen),

@@ -492,18 +492,14 @@ def _rank_sum(reach: np.ndarray, p: np.ndarray, shift: float) -> int:
 
 def _close_count(queries: np.ndarray, sums: np.ndarray, gamma: float) -> int:
     """#{(p, q) in queries x sums with p - gamma < q < p + gamma}, both arrays
-    sorted, as the ranks of p + gamma less those of p - gamma. Each block of
-    queries ranks only the slice of sums that its windows reach, which stays
-    in cache: the sums below it are at most p - gamma for every p of the
-    block, and those above it at least p + gamma."""
-    count = 0
-    for block in _blocks(queries.size, 1 << 12):
-        chunk = queries[block]
-        reach = sums[np.searchsorted(sums, chunk[0] - gamma, side="left"):
-                     np.searchsorted(sums, chunk[-1] + gamma, side="right")]
-        if reach.size:
-            count += _rank_sum(reach, chunk, gamma) - _rank_sum(reach, chunk, -gamma)
-    return count
+    sorted, as the ranks of p + gamma less those of p - gamma. Only the
+    queries within gamma of the sums' range are ranked: those below it are at
+    most s_0 - gamma, those above it at least s_last + gamma, and reach none."""
+    if not sums.size:
+        return 0
+    p = queries[np.searchsorted(queries, sums[0] - gamma, side="left"):
+                np.searchsorted(queries, sums[-1] + gamma, side="right")]
+    return _rank_sum(sums, p, gamma) - _rank_sum(sums, p, -gamma)
 
 
 def _close_ahead(sums: np.ndarray, stop: int, gamma: float) -> int:
@@ -628,10 +624,6 @@ class GapDistribution:
 
     scaled_gaps: np.ndarray   # sorted ascending, length N, sums to N
     ks_vs_exponential: float
-
-    @property
-    def n(self) -> int:
-        return int(self.scaled_gaps.size)
 
 
 def gap_distribution(pts: TorusPoints, out=None) -> GapDistribution:

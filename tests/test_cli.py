@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -565,7 +566,17 @@ def test_exit_code_validation_errors(tmp_path, capsys):
             (("check", "--what", "gcond", "--scale", "constant", "--g0", "0.7", "--n", "1000"),
              "constant width 0.7 exceeds 0.45"),
             (("gen", "--kind", "arithmetic", "--alpha", "1", "--n", "5", "--seed", "-1",
-              "--out", str(tmp_path / "x.csv")), "takes no --seed")]:
+              "--out", str(tmp_path / "x.csv")), "takes no --seed"),
+            # a parameter flag the kind or width family does not take, as in a plan file
+            (("gen", "--kind", "theorem1", "--c", "1", "--alpha", "7", "--n", "5", "--seed", "1",
+              "--out", str(tmp_path / "x.csv")), "generator theorem1 takes c but not alpha"),
+            (("gen", "--kind", "arithmetic", "--alpha", "1", "--base", "3", "--n", "5",
+              "--out", str(tmp_path / "x.csv")), "generator arithmetic takes alpha but not base"),
+            ((*gcond, "--n", "2000", "--theta", "5"),
+             "generator arithmetic takes alpha but not theta"),
+            ((*gcond, "--kind", "power", "--theta", "2", "--alpha", "1", "--n", "100"),
+             "generator power takes theta but not alpha"),
+            ((*gcond, "--n", "2000", "--g0", "0.1"), "scale has unknown key 'g0'")]:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and err.count("\n") == 1, argv
         assert err.startswith("modone: error:") and needle in err, argv
@@ -789,6 +800,21 @@ def test_cli_uses_the_library_vocabulary(tmp_path, capsys):
     assert _choices(err) == scalar_families == {"beck", "power_log", "constant"}
 
 
+def test_readme_cli_lines_parse_and_build():
+    # every `modone ...` line of README's CLI block parses, and the gen and
+    # gcond lines build their generator and width family as the commands do
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("modone ")]
+    assert len(lines) >= 8
+    for argv in lines:
+        args = cli._build_parser().parse_args(argv[1:])
+        if args.cmd == "gen":
+            cli._gen_generator(args)
+        elif args.cmd == "check" and args.what == "gcond":
+            cli._gcond_inputs(args)
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     write_points(pts, [0.25, 0.75])
@@ -874,6 +900,12 @@ def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch, tmp_path, cap
     cli._keep_freed_memory()
     code, _, err = run(capsys, "gen", "--kind", "arithmetic", "--alpha", "0.5", "--n", "10",
                        "--out", str(tmp_path / "x.pts"))
+    assert (code, err) == (0, "")
+    plan = tmp_path / "plan.json"   # exp caps the arenas through mallopt too
+    plan.write_text(json.dumps({"generator": {"kind": "van_der_corput", "base": 2},
+                                "n_schedule": [100], "windows": [{"pair_s": 1.0}],
+                                "trials": 2, "master_seed": 1}))
+    code, _, err = run(capsys, "exp", "--config", str(plan), "--threads", "2", "--no-timing")
     assert (code, err) == (0, "")
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from modone import (GOLDEN_ALPHA, LIOUVILLE_ALPHA, ScaleFunction, arithmetic_sequence, converse_schedule,
@@ -249,14 +251,24 @@ def test_converse_support():
 # continued fractions
 
 def test_convergents_of_three_tenths():
+    # the double 0.3 lies just below 3/10, so its expansion is [0; 3, 2, 1, ...]
     cv = [(c.p, c.q) for c in convergents(0.3, 10)]
-    assert cv == [(0, 1), (1, 3), (3, 10)]
+    assert cv == [(0, 1), (1, 3), (2, 7), (3, 10)]
     # integers, negatives and near-integers take the same first quotient step
     for alpha, want in [(2.0, [(2, 1)]),
-                        (-0.3, [(-1, 1), (0, 1), (-1, 3), (-3, 10)]),
+                        (-0.3, [(-1, 1), (0, 1), (-1, 3), (-2, 7), (-3, 10)]),
                         (1 / 3, [(0, 1), (1, 3)]),
-                        (1 - 1e-13, [(1, 1)])]:
+                        (1 - 1e-13, [(0, 1), (1, 1)])]:
         assert [(c.p, c.q) for c in convergents(alpha, 100)] == want, alpha
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.3)
+def test_convergents_expand_the_exact_double(alpha):
+    exact = Fraction(alpha)
+    cv = convergents(alpha, exact.denominator)
+    assert all(a.p * b.q - b.p * a.q in (-1, 1) for a, b in zip(cv, cv[1:]))
+    assert Fraction(cv[-1].p, cv[-1].q) == exact
 
 
 def test_convergents_golden_are_fibonacci():
@@ -300,9 +312,11 @@ def test_schedule_monotone_in_q():
 
 
 def test_converse_schedule_default_alpha():
+    assert LIOUVILLE_ALPHA.hex() == "0x1.70e9b60855c9ep-4"
     sch = converse_schedule(LIOUVILLE_ALPHA, 2)
     assert sch.complete
     assert sch.q_values == (22661, 670226)
+    assert sch.n_values == (94_800, 3_374_011)
     assert sch.n_values == (schedule_size(22661), schedule_size(670226))
     assert sch.n_values[0] < sch.n_values[1]
 
