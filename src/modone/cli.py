@@ -24,30 +24,23 @@ class _CliError(Exception):
     pass
 
 
-def _mallopt(*settings) -> None:
-    """Set glibc malloc parameters, each a (param, value) pair. A no-op where
-    the C library has no mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for param, value in settings:
-        mallopt(param, value)
-
-
 def _keep_freed_memory() -> None:
     """Start glibc's heap at the thresholds its dynamic rule would learn.
 
     glibc raises the thresholds only to the largest block freed so far, so a
     trial plan's N-sized arrays would be trimmed from each arena after every
     call and faulted back in by the next. Setting either threshold turns the rule
-    off and leaves the other at its low default, so both are set.
+    off and leaves the other at its low default, so both are set. A no-op
+    where the C library has no mallopt.
     """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
     # the ceilings of the dynamic rule on 64-bit: DEFAULT_MMAP_THRESHOLD_MAX,
     # and twice that for trimming
-    _mallopt((-3, 32 << 20),   # M_MMAP_THRESHOLD
-             (-1, 64 << 20))   # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,11 +218,6 @@ def _cmd_stat(args) -> list:
 def _cmd_exp(args) -> list:
     with open(args.config, "r", encoding="ascii") as f:
         plan = mio.plan_from_json(f.read())
-    # an exiting worker hands its arena back only at C-level thread exit,
-    # after the join, so a worker of the next plan in this process could
-    # start a fresh arena and fault its working set into it; the cap of one
-    # arena per worker and the main one makes it reuse a warm one
-    _mallopt((-8, args.threads + 1))   # M_ARENA_MAX
     summary, elapsed = _timed(run_trials, plan, threads=args.threads)
     records = []
     for i, n in enumerate(plan.n_schedule):

@@ -245,7 +245,7 @@ def _quotients(num: int, den: int):
 
 def convergents(alpha: float, q_max: int) -> list[Convergent]:
     """Continued-fraction convergents p/q of alpha with q <= q_max, q increasing.
-    They expand the exact binary64 value in integers, so the last is alpha itself."""
+    They expand the exact binary64 value in integers and end at alpha itself."""
     if q_max < 1:
         raise ValueError("need q_max >= 1")
     alpha = float(alpha)

@@ -901,12 +901,6 @@ def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch, tmp_path, cap
     code, _, err = run(capsys, "gen", "--kind", "arithmetic", "--alpha", "0.5", "--n", "10",
                        "--out", str(tmp_path / "x.pts"))
     assert (code, err) == (0, "")
-    plan = tmp_path / "plan.json"   # exp caps the arenas through mallopt too
-    plan.write_text(json.dumps({"generator": {"kind": "van_der_corput", "base": 2},
-                                "n_schedule": [100], "windows": [{"pair_s": 1.0}],
-                                "trials": 2, "master_seed": 1}))
-    code, _, err = run(capsys, "exp", "--config", str(plan), "--threads", "2", "--no-timing")
-    assert (code, err) == (0, "")
 
 
 def _has_mallopt():
